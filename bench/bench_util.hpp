@@ -22,6 +22,7 @@
 #include <limits>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,6 +133,19 @@ inline double speedup_vs(FFast&& fast, FSlow&& slow) {
                                         static_cast<double>(slow_reps));
   }
   return slow_best / fast_best;
+}
+
+/// `measure()` run once per `leg` for the life of the process. Google
+/// Benchmark calls a benchmark body again for every iteration-count probe,
+/// and a speedup counter does not depend on the probe, so re-measuring it
+/// (speedup_vs takes >= 0.9 s) on each call only burns wall clock. Bench
+/// bodies run on the main thread, so the cache needs no lock.
+template <typename Measure>
+inline double once_per_leg(const std::string& leg, Measure&& measure) {
+  static std::map<std::string, double> measured;
+  const auto it = measured.find(leg);
+  if (it != measured.end()) return it->second;
+  return measured.emplace(leg, measure()).first->second;
 }
 
 /// The two model/data stacks of the paper's Sec. 5.3 experiments.

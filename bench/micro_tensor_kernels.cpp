@@ -50,6 +50,12 @@ bool bits_equal_vec(const std::vector<float>& a, const std::vector<float>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
+/// Cache key of one leg's speedup counter: kernel, ISA, size.
+std::string leg_key(const char* kernel, const kernels::KernelTable& kt,
+                    std::size_t n) {
+  return std::string(kernel) + "/" + kt.name + "/" + std::to_string(n);
+}
+
 void common_counters(benchmark::State& state, const kernels::KernelTable& kt) {
   state.counters["avx2_supported"] =
       (kernels::avx2_table() != nullptr && kernels::cpu_supports_avx2()) ? 1.0
@@ -72,9 +78,12 @@ void BM_Dot(benchmark::State& state, kernels::Isa isa, std::size_t n) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(2 * n * sizeof(float)));
-  state.counters["speedup_vs_scalar"] = fifl::bench::speedup_vs(
-      [&] { benchmark::DoNotOptimize(kt.dot(a.data(), b.data(), n)); },
-      [&] { benchmark::DoNotOptimize(sc.dot(a.data(), b.data(), n)); });
+  state.counters["speedup_vs_scalar"] = fifl::bench::once_per_leg(
+      leg_key("dot", kt, n), [&] {
+        return fifl::bench::speedup_vs(
+            [&] { benchmark::DoNotOptimize(kt.dot(a.data(), b.data(), n)); },
+            [&] { benchmark::DoNotOptimize(sc.dot(a.data(), b.data(), n)); });
+      });
   common_counters(state, kt);
 }
 
@@ -92,9 +101,12 @@ void BM_SquaredNorm(benchmark::State& state, kernels::Isa isa, std::size_t n) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(n * sizeof(float)));
-  state.counters["speedup_vs_scalar"] = fifl::bench::speedup_vs(
-      [&] { benchmark::DoNotOptimize(kt.squared_norm(a.data(), n)); },
-      [&] { benchmark::DoNotOptimize(sc.squared_norm(a.data(), n)); });
+  state.counters["speedup_vs_scalar"] = fifl::bench::once_per_leg(
+      leg_key("squared_norm", kt, n), [&] {
+        return fifl::bench::speedup_vs(
+            [&] { benchmark::DoNotOptimize(kt.squared_norm(a.data(), n)); },
+            [&] { benchmark::DoNotOptimize(sc.squared_norm(a.data(), n)); });
+      });
   common_counters(state, kt);
 }
 
@@ -122,9 +134,12 @@ void BM_Axpy(benchmark::State& state, kernels::Isa isa, std::size_t n) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(3 * n * sizeof(float)));
-  state.counters["speedup_vs_scalar"] = fifl::bench::speedup_vs(
-      [&] { kt.axpy(dst.data(), 0.0f, x.data(), n); },
-      [&] { sc.axpy(dst.data(), 0.0f, x.data(), n); });
+  state.counters["speedup_vs_scalar"] = fifl::bench::once_per_leg(
+      leg_key("axpy", kt, n), [&] {
+        return fifl::bench::speedup_vs(
+            [&] { kt.axpy(dst.data(), 0.0f, x.data(), n); },
+            [&] { sc.axpy(dst.data(), 0.0f, x.data(), n); });
+      });
   common_counters(state, kt);
 }
 

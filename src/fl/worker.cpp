@@ -36,7 +36,7 @@ Gradient Worker::compute_local_gradient(std::span<const float> global_params) {
     model_->zero_grad();
     const tensor::Tensor logits = model_->forward(batch.images);
     loss_.forward(logits, batch.labels);
-    model_->backward(loss_.backward());
+    model_->backward_params(loss_.backward());
     optimizer.step(params);
   }
   // G_i = (θ_t − θ_{t,K}) / η  — the sum of the K step gradients.

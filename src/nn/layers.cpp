@@ -1,6 +1,8 @@
 #include "nn/layers.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -38,6 +40,7 @@ tensor::Tensor BatchNorm2d::forward(const tensor::Tensor& input) {
     double mean, var;
     if (training_) {
       double sum = 0.0, sum2 = 0.0;
+      // order: images, rows, columns ascending per channel.
       for (std::size_t img = 0; img < n; ++img) {
         for (std::size_t y = 0; y < h; ++y) {
           for (std::size_t x = 0; x < w; ++x) {
@@ -89,6 +92,7 @@ tensor::Tensor BatchNorm2d::backward(const tensor::Tensor& grad_output) {
   for (std::size_t c = 0; c < channels_; ++c) {
     // dγ = Σ dy·x̂; dβ = Σ dy.
     double dgamma = 0.0, dbeta = 0.0, dot_xhat = 0.0;
+    // order: images, rows, columns ascending per channel.
     for (std::size_t img = 0; img < n; ++img) {
       for (std::size_t y = 0; y < h; ++y) {
         for (std::size_t x = 0; x < w; ++x) {
@@ -165,14 +169,20 @@ tensor::Tensor Linear::forward(const tensor::Tensor& input) {
 }
 
 tensor::Tensor Linear::backward(const tensor::Tensor& grad_output) {
-  // dW += dY^T X; db += column sums of dY; dX = dY W.
+  backward_params(grad_output);
+  // dX = dY W.
+  return tensor::matmul(grad_output, weight_.value);
+}
+
+void Linear::backward_params(const tensor::Tensor& grad_output) {
+  // dW += dY^T X; db += column sums of dY.
   tensor::Tensor gw = tensor::matmul_tn(grad_output, cached_input_);
   tensor::add_inplace(weight_.grad, gw);
   const std::size_t n = grad_output.dim(0);
   for (std::size_t i = 0; i < n; ++i) {
+    // order: db(j) sums batch rows ascending.
     for (std::size_t j = 0; j < out_; ++j) bias_.grad[j] += grad_output(i, j);
   }
-  return tensor::matmul(grad_output, weight_.value);
 }
 
 Conv2d::Conv2d(tensor::ConvSpec spec, util::Rng& rng)
@@ -198,22 +208,46 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   return std::move(grads.grad_input);
 }
 
+void Conv2d::backward_params(const tensor::Tensor& grad_output) {
+  auto grads = tensor::conv2d_backward(cached_input_, weight_.value, grad_output,
+                                       spec_, /*want_input_grad=*/false);
+  tensor::add_inplace(weight_.grad, grads.grad_weight);
+  tensor::add_inplace(bias_.grad, grads.grad_bias);
+}
+
+namespace {
+/// `x` where `keep`, else +0 — a bit mask, not a branch, because which
+/// activations are negative is data the predictor cannot learn.
+inline float keep_or_zero(float x, bool keep) noexcept {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) &
+                              (0u - static_cast<std::uint32_t>(keep)));
+}
+}  // namespace
+
 tensor::Tensor ReLU::forward(const tensor::Tensor& input) {
-  cached_input_ = input.clone();
-  tensor::Tensor out = input.clone();
-  for (auto& v : out.flat()) {
-    if (v < 0.0f) v = 0.0f;
+  tensor::Tensor out(input.shape());
+  const std::size_t n = input.numel();
+  pass_.resize(n);
+  const float* in = input.data();
+  float* y = out.data();
+  std::uint8_t* pass = pass_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float x = in[i];
+    y[i] = keep_or_zero(x, !(x < 0.0f));  // NaN and -0 pass unchanged
+    pass[i] = static_cast<std::uint8_t>(!(x <= 0.0f));
   }
   return out;
 }
 
 tensor::Tensor ReLU::backward(const tensor::Tensor& grad_output) {
-  tensor::Tensor grad = grad_output.clone();
-  const float* in = cached_input_.data();
-  float* g = grad.data();
-  for (std::size_t i = 0; i < grad.numel(); ++i) {
-    if (in[i] <= 0.0f) g[i] = 0.0f;
+  if (grad_output.numel() != pass_.size()) {
+    throw std::logic_error("ReLU: backward without matching forward");
   }
+  tensor::Tensor grad(grad_output.shape());
+  const float* g = grad_output.data();
+  const std::uint8_t* pass = pass_.data();
+  float* gi = grad.data();
+  for (std::size_t i = 0; i < pass_.size(); ++i) gi[i] = keep_or_zero(g[i], pass[i] != 0);
   return grad;
 }
 

@@ -3,6 +3,7 @@
 // which keeps activations stable in the small CNNs the paper uses.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -17,6 +18,7 @@ class Linear final : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return "Linear"; }
 
@@ -36,6 +38,7 @@ class Conv2d final : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return "Conv2d"; }
 
@@ -55,7 +58,9 @@ class ReLU final : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor cached_input_;
+  // 1 where the gradient passes (input > 0 or NaN), one byte per element
+  // instead of a float copy of the input.
+  std::vector<std::uint8_t> pass_;
 };
 
 class Tanh final : public Layer {
@@ -109,7 +114,7 @@ class MaxPool2d final : public Layer {
 
  private:
   std::size_t window_;
-  std::vector<std::size_t> argmax_;
+  std::vector<std::uint32_t> argmax_;
   tensor::Shape cached_input_shape_;
 };
 

@@ -38,6 +38,7 @@ double SoftmaxCrossEntropy::forward(const tensor::Tensor& logits,
       continue;
     }
     double denom = 0.0;
+    // order: classes ascending per sample.
     for (std::size_t j = 0; j < c; ++j) {
       denom += std::exp(static_cast<double>(logits(i, j) - maxv));
     }

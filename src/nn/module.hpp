@@ -38,6 +38,12 @@ class Layer {
   virtual tensor::Tensor forward(const tensor::Tensor& input) = 0;
   /// Propagate gradients; accumulates into this layer's Parameter::grad.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+  /// backward() for a caller that drops the input gradient: accumulates
+  /// the same parameter gradients bit for bit, and layers may skip the
+  /// input gradient. The default runs backward() and discards it.
+  virtual void backward_params(const tensor::Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// Non-owning views of this layer's trainable parameters (may be empty).
   virtual std::vector<Parameter*> parameters() { return {}; }

@@ -8,17 +8,35 @@
 namespace fifl::nn {
 
 tensor::Tensor Sequential::forward(const tensor::Tensor& input) {
-  tensor::Tensor x = input.clone();
-  for (auto& layer : layers_) x = layer->forward(x);
+  if (layers_.empty()) return input.clone();
+  tensor::Tensor x = layers_.front()->forward(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->forward(x);
   return x;
 }
 
-tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
-  tensor::Tensor g = grad_output.clone();
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
+tensor::Tensor Sequential::backward_from(const tensor::Tensor& grad_output,
+                                         std::size_t first) {
+  tensor::Tensor g = layers_.back()->backward(grad_output);
+  for (std::size_t i = layers_.size() - 1; i-- > first;) g = layers_[i]->backward(g);
   return g;
+}
+
+tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
+  if (layers_.empty()) return grad_output.clone();
+  return backward_from(grad_output, 0);
+}
+
+void Sequential::backward_params(const tensor::Tensor& grad_output) {
+  // Below the first layer with parameters only input gradients flow, and
+  // nobody reads them: skip those layers and that layer's input gradient.
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->parameters().empty()) ++first;
+  if (first == layers_.size()) return;
+  if (first + 1 == layers_.size()) {
+    layers_[first]->backward_params(grad_output);
+    return;
+  }
+  layers_[first]->backward_params(backward_from(grad_output, first + 1));
 }
 
 std::vector<Parameter*> Sequential::parameters() {

@@ -29,7 +29,12 @@ class Sequential final : public Layer {
   }
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
+  /// Returns the input gradient, as a nested Sequential's caller needs.
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// The training step's call: same parameter gradients as backward(),
+  /// without the model's input gradient — layers before the first one
+  /// with parameters are skipped, and that layer skips its own.
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Sequential"; }
 
@@ -52,6 +57,11 @@ class Sequential final : public Layer {
   void zero_grad();
 
  private:
+  /// backward() through layers [first, size), last to first; returns the
+  /// gradient at layer `first`'s input. Needs first < size().
+  tensor::Tensor backward_from(const tensor::Tensor& grad_output,
+                               std::size_t first);
+
   std::vector<LayerPtr> layers_;
 };
 

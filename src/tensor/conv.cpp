@@ -1,9 +1,14 @@
 #include "tensor/conv.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
-#include "tensor/ops.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/parallel_for.hpp"
 
 namespace fifl::tensor {
@@ -15,6 +20,159 @@ void check_nchw(const Tensor& t, const char* what) {
                                 t.shape_string());
   }
 }
+
+/// Shapes of one conv call, validated once up front.
+struct ConvGeom {
+  std::size_t n, c, h, w;  // input
+  std::size_t oc, oh, ow;  // output
+  std::size_t k, stride, pad;
+
+  std::size_t patch() const noexcept { return c * k * k; }
+  std::size_t pixels() const noexcept { return oh * ow; }
+  std::size_t in_image() const noexcept { return c * h * w; }
+  std::size_t out_image() const noexcept { return oc * pixels(); }
+};
+
+ConvGeom conv_geom(const Tensor& input, const Tensor& weight,
+                   const ConvSpec& spec, const char* what) {
+  check_nchw(input, what);
+  const std::string name(what);
+  if (input.dim(1) != spec.in_channels) {
+    throw std::invalid_argument(name + ": input has " +
+                                std::to_string(input.dim(1)) +
+                                " channels, spec wants " +
+                                std::to_string(spec.in_channels));
+  }
+  if (spec.kernel == 0 || spec.stride == 0 ||
+      spec.kernel > input.dim(2) + 2 * spec.padding ||
+      spec.kernel > input.dim(3) + 2 * spec.padding) {
+    throw std::invalid_argument(name + ": kernel/stride do not fit input " +
+                                input.shape_string());
+  }
+  const Shape wshape{spec.out_channels, spec.in_channels, spec.kernel,
+                     spec.kernel};
+  if (weight.shape() != wshape) {
+    throw std::invalid_argument(name + ": weight shape " +
+                                weight.shape_string() + " does not match spec");
+  }
+  const std::size_t h = input.dim(2), w = input.dim(3);
+  return ConvGeom{.n = input.dim(0),
+                  .c = input.dim(1),
+                  .h = h,
+                  .w = w,
+                  .oc = spec.out_channels,
+                  .oh = spec.out_dim(h),
+                  .ow = spec.out_dim(w),
+                  .k = spec.kernel,
+                  .stride = spec.stride,
+                  .pad = spec.padding};
+}
+
+/// Per-thread scratch for one image at a time. It grows to the largest
+/// single image this thread has handled and is never sized by the batch:
+/// evaluation runs convs at batch 256, and batch-sized thread-local columns
+/// would stay resident for the life of the pool.
+struct ImageScratch {
+  std::vector<float> padded;  // one image (C, H+2p, W+2p), zero border
+  std::vector<float> cols;    // one image's im2col rows (pixels × patch)
+  std::vector<float> aux;     // one image's product or transposed gradient
+};
+
+ImageScratch& image_scratch() {
+  thread_local ImageScratch scratch;
+  return scratch;
+}
+
+float* grow(std::vector<float>& buf, std::size_t n) {
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+/// Taps of K <= kRun floats move as one fixed kRun-float block, so buffers
+/// written or read that way carry kRun floats of slack.
+constexpr std::size_t kRun = 8;
+
+std::size_t padded_h(const ConvGeom& g) noexcept { return g.h + 2 * g.pad; }
+std::size_t padded_w(const ConvGeom& g) noexcept { return g.w + 2 * g.pad; }
+std::size_t padded_size(const ConvGeom& g) noexcept {
+  return g.c * padded_h(g) * padded_w(g) + kRun;
+}
+
+/// Offset in the padded image of output pixel (oy, ox)'s tap (ch, ky, 0).
+std::size_t tap_offset(const ConvGeom& g, std::size_t ch, std::size_t oy,
+                       std::size_t ox, std::size_t ky) noexcept {
+  return (ch * padded_h(g) + oy * g.stride + ky) * padded_w(g) + ox * g.stride;
+}
+
+/// One image's rows of im2col(): copy the image into a zero-bordered
+/// buffer, then every tap row is a plain K-float copy from it.
+void unfold_image(const float* image, const ConvGeom& g, ImageScratch& scratch,
+                  float* cols) {
+  const std::size_t pw = padded_w(g), patch = g.patch();
+  float* padded = grow(scratch.padded, padded_size(g));
+  std::fill(padded, padded + padded_size(g), 0.0f);
+  for (std::size_t ch = 0; ch < g.c; ++ch) {
+    for (std::size_t y = 0; y < g.h; ++y) {
+      std::copy_n(image + (ch * g.h + y) * g.w, g.w,
+                  padded + (ch * padded_h(g) + y + g.pad) * pw + g.pad);
+    }
+  }
+  for (std::size_t oy = 0; oy < g.oh; ++oy) {
+    for (std::size_t ox = 0; ox < g.ow; ++ox) {
+      float* row = cols + (oy * g.ow + ox) * patch;
+      for (std::size_t ch = 0; ch < g.c; ++ch) {
+        for (std::size_t ky = 0; ky < g.k; ++ky) {
+          const float* src = padded + tap_offset(g, ch, oy, ox, ky);
+          float* dst = row + (ch * g.k + ky) * g.k;
+          // A kRun block spills into the next taps, which are written
+          // after it, or into the slack after the last row.
+          if (g.k <= kRun) {
+            std::memcpy(dst, src, kRun * sizeof(float));
+          } else {
+            std::copy_n(src, g.k, dst);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// One image's ∂L/∂input from its transposed output gradient `gt`
+/// (pixels × OC): dcols = gt·W, then the rows fold into the image with
+/// (oy, ox) ascending — col2im's order — through a zero-bordered buffer
+/// whose border, where col2im's skipped padding taps would land, is
+/// dropped. `dcols` is pixels × patch scratch.
+void image_input_grad(const float* gt, const float* weight, const ConvGeom& g,
+                      ImageScratch& scratch, float* dcols, float* dst) {
+  const std::size_t px = g.pixels(), patch = g.patch(), pw = padded_w(g);
+  std::fill(dcols, dcols + px * patch, 0.0f);
+  // order: dcols(p, j) sums output channels ascending (axpy-form, zero
+  // gradients skipped) — this image's rows of matmul(gmat, W).
+  kernels::active().matmul_rows(gt, weight, dcols, 0, px, g.oc, patch);
+  float* gpad = grow(scratch.padded, padded_size(g));
+  std::fill(gpad, gpad + padded_size(g), 0.0f);
+  for (std::size_t oy = 0; oy < g.oh; ++oy) {
+    for (std::size_t ox = 0; ox < g.ow; ++ox) {
+      const float* drow = dcols + (oy * g.ow + ox) * patch;
+      // order: pixels (oy, ox) ascending per input element; within a
+      // pixel every tap hits a distinct element.
+      for (std::size_t ch = 0; ch < g.c; ++ch) {
+        for (std::size_t ky = 0; ky < g.k; ++ky) {
+          float* target = gpad + tap_offset(g, ch, oy, ox, ky);
+          const float* src = drow + (ch * g.k + ky) * g.k;
+          for (std::size_t kx = 0; kx < g.k; ++kx) target[kx] += src[kx];
+        }
+      }
+    }
+  }
+  for (std::size_t ch = 0; ch < g.c; ++ch) {
+    for (std::size_t y = 0; y < g.h; ++y) {
+      std::copy_n(gpad + (ch * padded_h(g) + y + g.pad) * pw + g.pad, g.w,
+                  dst + (ch * g.h + y) * g.w);
+    }
+  }
+}
+
 }  // namespace
 
 Tensor im2col(const Tensor& input, const ConvSpec& spec) {
@@ -106,110 +264,130 @@ Tensor col2im(const Tensor& cols, const ConvSpec& spec, std::size_t n,
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const ConvSpec& spec) {
-  check_nchw(input, "conv2d_forward");
-  check_nchw(weight, "conv2d_forward weight");
-  const std::size_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const std::size_t oc = spec.out_channels;
-  const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
-  const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
-
-  Tensor cols = im2col(input, spec);            // (N*OH*OW, patch)
-  Tensor wmat = weight.clone().reshape({oc, patch});
-  Tensor prod = matmul_nt(cols, wmat);          // (N*OH*OW, OC)
-
-  Tensor out({n, oc, oh, ow});
-  const float* pp = prod.data();
+  const ConvGeom g = conv_geom(input, weight, spec, "conv2d_forward");
+  if (bias.numel() != g.oc) {
+    throw std::invalid_argument("conv2d_forward: bias has " +
+                                std::to_string(bias.numel()) + " entries, want " +
+                                std::to_string(g.oc));
+  }
+  Tensor out({g.n, g.oc, g.oh, g.ow});
+  const kernels::KernelTable& kt = kernels::active();
+  const float* in = input.data();
+  const float* pw = weight.data();  // (OC, patch) row-major
   const float* pb = bias.data();
+  float* po = out.data();
+  // One image at a time: unfold into L2-sized scratch, multiply, then add
+  // the bias while writing the NCHW output.
   util::parallel_for(
-      0, n * oh * ow,
-      [&](std::size_t row) {
-        const std::size_t img = row / (oh * ow);
-        const std::size_t rem = row % (oh * ow);
-        const std::size_t oy = rem / ow;
-        const std::size_t ox = rem % ow;
-        for (std::size_t ch = 0; ch < oc; ++ch) {
-          out(img, ch, oy, ox) = pp[row * oc + ch] + pb[ch];
+      0, g.n,
+      [&](std::size_t img) {
+        const std::size_t px = g.pixels();
+        ImageScratch& scratch = image_scratch();
+        float* cols = grow(scratch.cols, px * g.patch() + kRun);
+        float* prod = grow(scratch.aux, px * g.oc);
+        unfold_image(in + img * g.in_image(), g, scratch, cols);
+        // order: prod(p, oc) = ⟨cols row p, W row oc⟩ — matmul_nt_rows'
+        // float 8-lane tree over the patch, then + bias below.
+        kt.matmul_nt_rows(cols, pw, prod, 0, px, g.patch(), g.oc);
+        float* dst = po + img * g.out_image();
+        for (std::size_t o = 0; o < g.oc; ++o) {
+          for (std::size_t p = 0; p < px; ++p) {
+            dst[o * px + p] = prod[p * g.oc + o] + pb[o];
+          }
         }
       },
-      /*grain=*/64);
+      /*grain=*/1);
   return out;
 }
 
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
-                            const Tensor& grad_output, const ConvSpec& spec) {
-  const std::size_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const std::size_t oc = spec.out_channels;
-  const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
-  const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
-
-  // grad_output (N,OC,OH,OW) -> (N*OH*OW, OC)
-  Tensor gmat({n * oh * ow, oc});
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t ch = 0; ch < oc; ++ch) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          gmat((img * oh + oy) * ow + ox, ch) = grad_output(img, ch, oy, ox);
-        }
-      }
-    }
+                            const Tensor& grad_output, const ConvSpec& spec,
+                            bool want_input_grad) {
+  const ConvGeom g = conv_geom(input, weight, spec, "conv2d_backward");
+  if (grad_output.shape() != Shape{g.n, g.oc, g.oh, g.ow}) {
+    throw std::invalid_argument("conv2d_backward: grad_output shape " +
+                                grad_output.shape_string() +
+                                " is not (N, OC, OH, OW) of the input and spec");
   }
-
-  Tensor cols = im2col(input, spec);  // (N*OH*OW, patch)
-
+  const kernels::KernelTable& kt = kernels::active();
+  const std::size_t px = g.pixels(), patch = g.patch();
   Conv2dGrads grads;
-  // dW = gmat^T * cols  -> (OC, patch)
-  Tensor gw = matmul_tn(gmat, cols);
-  grads.grad_weight = gw.reshape(
-      {oc, spec.in_channels, spec.kernel, spec.kernel});
+  grads.grad_weight = Tensor({g.oc, g.c, g.k, g.k});
+  grads.grad_bias = Tensor({g.oc});
+  float* gw = grads.grad_weight.data();
+  float* gb = grads.grad_bias.data();
+  const float* go = grad_output.data();
+  if (want_input_grad) grads.grad_input = Tensor({g.n, g.c, g.h, g.w});
 
-  // db = column sums of gmat.
-  grads.grad_bias = Tensor({oc});
-  for (std::size_t row = 0; row < n * oh * ow; ++row) {
-    for (std::size_t ch = 0; ch < oc; ++ch) {
-      grads.grad_bias[ch] += gmat(row, ch);
+  // Weight and bias gradients sum over every output pixel of the batch, so
+  // images run serially, ascending: each element then sees its rows
+  // (img, oy, ox) ascending, as in matmul_tn over the whole-batch im2col.
+  ImageScratch& scratch = image_scratch();
+  float* cols = grow(scratch.cols, px * patch + kRun);
+  float* gt = grow(scratch.aux, px * g.oc);
+  for (std::size_t img = 0; img < g.n; ++img) {
+    const float* gimg = go + img * g.out_image();
+    unfold_image(input.data() + img * g.in_image(), g, scratch, cols);
+    for (std::size_t o = 0; o < g.oc; ++o) {
+      for (std::size_t p = 0; p < px; ++p) gt[p * g.oc + o] = gimg[o * px + p];
+    }
+    // order: dW(oc, j) += g(p, oc)·cols(p, j), pixels ascending (axpy-form,
+    // zero gradients skipped).
+    kt.matmul_tn_rows(gt, cols, gw, 0, g.oc, px, g.oc, patch);
+    for (std::size_t o = 0; o < g.oc; ++o) {
+      // order: db(oc) sums pixels ascending within images ascending.
+      for (std::size_t p = 0; p < px; ++p) gb[o] += gimg[o * px + p];
+    }
+    if (want_input_grad) {
+      // The columns are spent; their buffer takes this image's dcols.
+      image_input_grad(gt, weight.data(), g, scratch, cols,
+                       grads.grad_input.data() + img * g.in_image());
     }
   }
-
-  // dcols = gmat * W  -> (N*OH*OW, patch), then fold back.
-  Tensor wmat = weight.clone().reshape({oc, patch});
-  Tensor dcols = matmul(gmat, wmat);
-  grads.grad_input = col2im(dcols, spec, n, h, w);
   return grads;
 }
 
 Tensor maxpool2d_forward(const Tensor& input, std::size_t window,
-                         std::vector<std::size_t>& argmax_out) {
+                         std::vector<std::uint32_t>& argmax_out) {
   check_nchw(input, "maxpool2d_forward");
   const std::size_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                     w = input.dim(3);
   if (window == 0 || h % window != 0 || w % window != 0) {
     throw std::invalid_argument("maxpool2d: window must evenly divide H and W");
   }
+  if (input.numel() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("maxpool2d: input too large for 32-bit argmax");
+  }
   const std::size_t oh = h / window, ow = w / window;
   Tensor out({n, c, oh, ow});
-  argmax_out.assign(n * c * oh * ow, 0);
+  argmax_out.resize(out.numel());
+  const float* in = input.data();
+  float* po = out.data();
+  std::uint32_t* am = argmax_out.data();
   util::parallel_for(
       0, n * c,
       [&](std::size_t nc) {
-        const std::size_t img = nc / c;
-        const std::size_t ch = nc % c;
+        const std::size_t plane = nc * h * w;
         for (std::size_t oy = 0; oy < oh; ++oy) {
           for (std::size_t ox = 0; ox < ow; ++ox) {
+            // A window with no value above -inf (all NaN or -inf) keeps
+            // index 0, as it always has.
             float best = -std::numeric_limits<float>::infinity();
             std::size_t best_idx = 0;
             for (std::size_t ky = 0; ky < window; ++ky) {
+              const std::size_t row = plane + (oy * window + ky) * w + ox * window;
               for (std::size_t kx = 0; kx < window; ++kx) {
-                const std::size_t iy = oy * window + ky;
-                const std::size_t ix = ox * window + kx;
-                const float v = input(img, ch, iy, ix);
-                if (v > best) {
-                  best = v;
-                  best_idx = ((img * c + ch) * h + iy) * w + ix;
-                }
+                // Integer selects, not branches: which tap wins is data.
+                const float v = in[row + kx];
+                const bool better = v > best;
+                best = std::bit_cast<float>(better ? std::bit_cast<std::uint32_t>(v)
+                                                   : std::bit_cast<std::uint32_t>(best));
+                best_idx = better ? row + kx : best_idx;
               }
             }
-            out(img, ch, oy, ox) = best;
-            argmax_out[((img * c + ch) * oh + oy) * ow + ox] = best_idx;
+            const std::size_t o = (nc * oh + oy) * ow + ox;
+            po[o] = best;
+            am[o] = static_cast<std::uint32_t>(best_idx);
           }
         }
       },
@@ -218,14 +396,24 @@ Tensor maxpool2d_forward(const Tensor& input, std::size_t window,
 }
 
 Tensor maxpool2d_backward(const Tensor& grad_output,
-                          const std::vector<std::size_t>& argmax,
+                          const std::vector<std::uint32_t>& argmax,
                           const Shape& input_shape) {
-  Tensor grad_input(input_shape);
   if (argmax.size() != grad_output.numel()) {
     throw std::invalid_argument("maxpool2d_backward: argmax size mismatch");
   }
+  const std::size_t numel = Tensor::shape_numel(input_shape);
+  for (const std::uint32_t idx : argmax) {
+    if (idx >= numel) {
+      throw std::invalid_argument("maxpool2d_backward: argmax index " +
+                                  std::to_string(idx) + " outside input of " +
+                                  std::to_string(numel) + " elements");
+    }
+  }
+  Tensor grad_input(input_shape);
   const float* g = grad_output.data();
   float* gi = grad_input.data();
+  // order: output elements ascending; windows are disjoint, so only the
+  // all-NaN fallback index 0 can receive more than one contribution.
   for (std::size_t i = 0; i < argmax.size(); ++i) gi[argmax[i]] += g[i];
   return grad_input;
 }
@@ -239,6 +427,7 @@ Tensor global_avgpool_forward(const Tensor& input) {
   for (std::size_t img = 0; img < n; ++img) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       float acc = 0.0f;
+      // order: pixels row-major ascending per (image, channel).
       for (std::size_t y = 0; y < h; ++y) {
         for (std::size_t x = 0; x < w; ++x) acc += input(img, ch, y, x);
       }

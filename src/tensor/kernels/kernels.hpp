@@ -26,6 +26,9 @@
 //     contribution per kk, kk ascending): no cross-lane reduction, so
 //     vectorising the j loop is trivially bit-identical. Both backends
 //     keep the `a == 0.0f` skip so sparsified gradients cost nothing.
+//     matmul_tn_rows runs kk outermost (i, then j, inside): each element
+//     still sees kk ascending, so it equals the i-outer loop bit for bit
+//     while reading A and B once instead of once per output row.
 //   * No FMA anywhere: multiply and add stay separate roundings in both
 //     backends, and the kernel TUs compile with -ffp-contract=off so the
 //     compiler cannot fuse them behind our back.
@@ -81,7 +84,8 @@ struct KernelTable {
   void (*matmul_nt_rows)(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t k,
                          std::size_t n);
-  /// C rows [i0,i1) += Aᵀ(i,·)·B with A k×m — axpy-form, C pre-zeroed.
+  /// C rows [i0,i1) += Aᵀ(i,·)·B with A k×m — axpy-form, C pre-zeroed,
+  /// kk outermost (one pass over A and B per call).
   void (*matmul_tn_rows)(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t k,
                          std::size_t m, std::size_t n);

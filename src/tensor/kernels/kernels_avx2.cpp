@@ -12,6 +12,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -225,45 +226,117 @@ bool has_nonfinite_avx2(const float* x, std::size_t n) {
   return false;
 }
 
-// Axpy-form inner j loop shared by matmul_rows / matmul_tn_rows: one mul +
-// one add rounding per contribution, identical to the scalar backend.
-inline void axpy_row(float* crow, float av, const float* brow,
-                     std::size_t n) noexcept {
-  const __m256 avv = _mm256_set1_ps(av);
+// ---- axpy-form matmuls (matmul_rows / matmul_tn_rows) ----------------------
+//
+// Both kernels gather, per C row, the A entries that contribute — kk
+// ascending, zeros skipped — as Terms, then sweep the row in register
+// blocks: each C element is loaded once, takes every term in order (one
+// mul + one add rounding each, exactly c += a*b of the scalar backend) and
+// is stored once. Holding C in registers across terms changes no rounding;
+// it only removes the load/store per contribution.
+
+struct Term {
+  __m256 a;        // A entry, broadcast
+  const float* b;  // B row kk
+};
+
+/// Terms gathered per C row before a sweep (bounds the stack buffer).
+constexpr std::size_t kTermBlock = 32;
+/// kk rows per matmul_tn_rows block: B rows stay in L1 across the i loop.
+constexpr std::size_t kTnRowBlock = 8;
+
+// Lane mask selecting the first r (1..7) floats of a register.
+inline __m256i first_lanes(std::size_t r) noexcept {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(r)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// crow[j] += t.a * t.b[j] for every term in order, j in [0, n).
+inline void apply_terms(float* crow, const Term* terms, std::size_t count,
+                        std::size_t n) noexcept {
   std::size_t j = 0;
-  for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
-    const __m256 c0 = _mm256_loadu_ps(crow + j);
-    const __m256 c1 = _mm256_loadu_ps(crow + j + kLanes);
-    _mm256_storeu_ps(
-        crow + j,
-        _mm256_add_ps(c0, _mm256_mul_ps(avv, _mm256_loadu_ps(brow + j))));
-    _mm256_storeu_ps(crow + j + kLanes,
-                     _mm256_add_ps(c1, _mm256_mul_ps(
-                                           avv, _mm256_loadu_ps(
-                                                    brow + j + kLanes))));
+  // Four independent accumulators hide the add latency.
+  for (; j + 4 * kLanes <= n; j += 4 * kLanes) {
+    __m256 c0 = _mm256_loadu_ps(crow + j);
+    __m256 c1 = _mm256_loadu_ps(crow + j + kLanes);
+    __m256 c2 = _mm256_loadu_ps(crow + j + 2 * kLanes);
+    __m256 c3 = _mm256_loadu_ps(crow + j + 3 * kLanes);
+    // order: per element, terms (kk) ascending.
+    for (std::size_t t = 0; t < count; ++t) {
+      const __m256 av = terms[t].a;
+      const float* b = terms[t].b + j;
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, _mm256_loadu_ps(b)));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, _mm256_loadu_ps(b + kLanes)));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(av, _mm256_loadu_ps(b + 2 * kLanes)));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(av, _mm256_loadu_ps(b + 3 * kLanes)));
+    }
+    _mm256_storeu_ps(crow + j, c0);
+    _mm256_storeu_ps(crow + j + kLanes, c1);
+    _mm256_storeu_ps(crow + j + 2 * kLanes, c2);
+    _mm256_storeu_ps(crow + j + 3 * kLanes, c3);
   }
   for (; j + kLanes <= n; j += kLanes) {
-    const __m256 c0 = _mm256_loadu_ps(crow + j);
-    _mm256_storeu_ps(
-        crow + j,
-        _mm256_add_ps(c0, _mm256_mul_ps(avv, _mm256_loadu_ps(brow + j))));
+    __m256 c0 = _mm256_loadu_ps(crow + j);
+    // order: per element, terms (kk) ascending.
+    for (std::size_t t = 0; t < count; ++t) {
+      c0 = _mm256_add_ps(
+          c0, _mm256_mul_ps(terms[t].a, _mm256_loadu_ps(terms[t].b + j)));
+    }
+    _mm256_storeu_ps(crow + j, c0);
   }
-  for (; j < n; ++j) crow[j] += av * brow[j];
+  if (j < n) {
+    // Masked tail: off lanes read as 0 and are never stored.
+    const __m256i mask = first_lanes(n - j);
+    __m256 c0 = _mm256_maskload_ps(crow + j, mask);
+    // order: per element, terms (kk) ascending.
+    for (std::size_t t = 0; t < count; ++t) {
+      c0 = _mm256_add_ps(
+          c0, _mm256_mul_ps(terms[t].a, _mm256_maskload_ps(terms[t].b + j, mask)));
+    }
+    _mm256_maskstore_ps(crow + j, mask, c0);
+  }
 }
 
 void matmul_rows_avx2(const float* a, const float* b, float* c,
                       std::size_t i0, std::size_t i1, std::size_t k,
                       std::size_t n) {
+  Term terms[kTermBlock];
   for (std::size_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      // order: per output j, contributions kk ascending (axpy-form).
-      axpy_row(crow, av, b + kk * n, n);
+    // order: per output j, contributions kk ascending (axpy-form) — term
+    // blocks ascending, kk ascending within each.
+    for (std::size_t kk0 = 0; kk0 < k; kk0 += kTermBlock) {
+      const std::size_t kk1 = std::min(k, kk0 + kTermBlock);
+      std::size_t count = 0;
+      for (std::size_t kk = kk0; kk < kk1; ++kk) {
+        const float av = arow[kk];
+        if (av == 0.0f) continue;
+        terms[count++] = Term{_mm256_set1_ps(av), b + kk * n};
+      }
+      if (count != 0) apply_terms(crow, terms, count, n);
     }
   }
+}
+
+// Four hreduce8f at once: lane q of the result is hreduce8f(acc_q), by the
+// same adds on the same operands in the same order.
+// order: s[l] = lane[l] + lane[l+4] (128-bit halves), then
+// t0 = s0 + s2, t1 = s1 + s3, then t0 + t1 — reduce_lanes8f exactly.
+inline __m128 hreduce8f_x4(__m256 a0, __m256 a1, __m256 a2,
+                           __m256 a3) noexcept {
+  // [S0 | S2] and [S1 | S3], S_q = (s0, s1, s2, s3) of accumulator q.
+  const __m256 s02 = _mm256_add_ps(_mm256_permute2f128_ps(a0, a2, 0x20),
+                                   _mm256_permute2f128_ps(a0, a2, 0x31));
+  const __m256 s13 = _mm256_add_ps(_mm256_permute2f128_ps(a1, a3, 0x20),
+                                   _mm256_permute2f128_ps(a1, a3, 0x31));
+  // Per half: (t0_q, t0_q+1, t1_q, t1_q+1).
+  const __m256 t = _mm256_add_ps(_mm256_unpacklo_ps(s02, s13),
+                                 _mm256_unpackhi_ps(s02, s13));
+  // Lanes 0,1 of each half: t0 + t1 for accumulators (0,1) and (2,3).
+  const __m256 r =
+      _mm256_add_ps(t, _mm256_shuffle_ps(t, t, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_movelh_ps(_mm256_castps256_ps128(r), _mm256_extractf128_ps(r, 1));
 }
 
 void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
@@ -273,21 +346,43 @@ void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
   for (std::size_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
-    // Register blocking: two B rows share each A load.
+    // Register blocking: four B rows share each A load, four independent
+    // accumulator chains; a pair, then a single row, take the remainder.
     std::size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const float* b0 = b + j * k;
-      const float* b1 = b + (j + 1) * k;
+    for (; j + 4 <= n; j += 4) {
+      const float* bq[4] = {b + j * k, b + (j + 1) * k, b + (j + 2) * k,
+                            b + (j + 3) * k};
       __m256 acc0 = _mm256_setzero_ps();
       __m256 acc1 = _mm256_setzero_ps();
+      __m256 acc2 = _mm256_setzero_ps();
+      __m256 acc3 = _mm256_setzero_ps();
       // order: float lane l accumulates kk ≡ l (mod 8), blocks ascending;
       // collapse (s0+s2)+(s1+s3) — matches matmul_nt_rows_scalar.
       for (std::size_t kk = 0; kk < main; kk += kLanes) {
         const __m256 av = _mm256_loadu_ps(arow + kk);
-        acc0 = _mm256_add_ps(acc0,
-                             _mm256_mul_ps(av, _mm256_loadu_ps(b0 + kk)));
-        acc1 = _mm256_add_ps(acc1,
-                             _mm256_mul_ps(av, _mm256_loadu_ps(b1 + kk)));
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(bq[0] + kk)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(bq[1] + kk)));
+        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(av, _mm256_loadu_ps(bq[2] + kk)));
+        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(av, _mm256_loadu_ps(bq[3] + kk)));
+      }
+      float r[4];
+      _mm_storeu_ps(r, hreduce8f_x4(acc0, acc1, acc2, acc3));
+      // order: tail kk ascending, appended after the lane tree.
+      for (std::size_t kk = main; kk < k; ++kk) {
+        for (std::size_t q = 0; q < 4; ++q) r[q] += arow[kk] * bq[q][kk];
+      }
+      for (std::size_t q = 0; q < 4; ++q) crow[j + q] = r[q];
+    }
+    if (j + 2 <= n) {
+      const float* b0 = b + j * k;
+      const float* b1 = b + (j + 1) * k;
+      __m256 acc0 = _mm256_setzero_ps();
+      __m256 acc1 = _mm256_setzero_ps();
+      // order: float lane l accumulates kk ≡ l (mod 8), blocks ascending.
+      for (std::size_t kk = 0; kk < main; kk += kLanes) {
+        const __m256 av = _mm256_loadu_ps(arow + kk);
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(b0 + kk)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(b1 + kk)));
       }
       float r0 = hreduce8f(acc0);
       float r1 = hreduce8f(acc1);
@@ -298,6 +393,7 @@ void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
       }
       crow[j] = r0;
       crow[j + 1] = r1;
+      j += 2;
     }
     if (j < n) {
       const float* b0 = b + j * k;
@@ -319,13 +415,21 @@ void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
 void matmul_tn_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t k,
                          std::size_t m, std::size_t n) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = a[kk * m + i];
-      if (av == 0.0f) continue;
-      // order: per output j, contributions kk ascending (axpy-form).
-      axpy_row(crow, av, b + kk * n, n);
+  // kk outermost in blocks, as in matmul_tn_rows_scalar: one pass over A
+  // and B; each C row takes a block's terms in one register sweep.
+  Term terms[kTnRowBlock];
+  for (std::size_t kk0 = 0; kk0 < k; kk0 += kTnRowBlock) {
+    const std::size_t kk1 = std::min(k, kk0 + kTnRowBlock);
+    for (std::size_t i = i0; i < i1; ++i) {
+      std::size_t count = 0;
+      // order: per output (i, j), contributions kk ascending (axpy-form) —
+      // blocks ascending, kk ascending within each.
+      for (std::size_t kk = kk0; kk < kk1; ++kk) {
+        const float av = a[kk * m + i];
+        if (av == 0.0f) continue;
+        terms[count++] = Term{_mm256_set1_ps(av), b + kk * n};
+      }
+      if (count != 0) apply_terms(c + i * n, terms, count, n);
     }
   }
 }

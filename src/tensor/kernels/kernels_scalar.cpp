@@ -146,13 +146,17 @@ void matmul_nt_rows_scalar(const float* a, const float* b, float* c,
 void matmul_tn_rows_scalar(const float* a, const float* b, float* c,
                            std::size_t i0, std::size_t i1, std::size_t k,
                            std::size_t m, std::size_t n) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = a[kk * m + i];
+  // kk outermost: A row kk and B row kk are each read once per call while
+  // the C rows [i0, i1) stay cache-resident. Each C element still receives
+  // its contributions kk ascending, so this is the i-outer loop's result.
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* arow = a + kk * m;
+    const float* brow = b + kk * n;
+    for (std::size_t i = i0; i < i1; ++i) {
+      const float av = arow[i];
       if (av == 0.0f) continue;
-      const float* brow = b + kk * n;
-      // order: per output j, contributions kk ascending (axpy-form).
+      float* crow = c + i * n;
+      // order: per output (i, j), contributions kk ascending (axpy-form).
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }

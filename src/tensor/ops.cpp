@@ -1,5 +1,6 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -102,6 +103,9 @@ std::size_t argmax(std::span<const float> xs) {
 }
 
 namespace {
+/// C floats per matmul_tn row block (16 KiB, half a typical L1d).
+constexpr std::size_t kTnBlockFloats = 4096;
+
 void check_rank2(const Tensor& t, const char* what) {
   if (t.rank() != 2) {
     throw std::invalid_argument(std::string(what) + ": expected rank-2, got " +
@@ -154,9 +158,16 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
+  // Row blocks of about kTnBlockFloats C floats: the kernel streams A and B
+  // once per block while the block stays in L1.
+  const std::size_t rows =
+      std::max<std::size_t>(1, kTnBlockFloats / std::max<std::size_t>(1, n));
   util::parallel_for(
-      0, m,
-      [&](std::size_t i) { kt.matmul_tn_rows(pa, pb, pc, i, i + 1, k, m, n); },
+      0, (m + rows - 1) / rows,
+      [&](std::size_t blk) {
+        const std::size_t i0 = blk * rows;
+        kt.matmul_tn_rows(pa, pb, pc, i0, std::min(m, i0 + rows), k, m, n);
+      },
       /*grain=*/1);
   return c;
 }

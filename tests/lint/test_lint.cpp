@@ -98,6 +98,18 @@ TEST(FiflLint, R3KernelReductionFires) {
   EXPECT_NE(run.output.find("'lane'"), std::string::npos) << run.output;
 }
 
+TEST(FiflLint, R3NnReductionFires) {
+  // src/nn/ is an fp-order path: an unannotated batch reduction in a layer
+  // is the fixture's only finding.
+  const LintRun run = run_lint(fixture("r3_nn") + " --no-headers");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(rule_ids(run.output), (std::multiset<std::string>{"fp-order"}))
+      << run.output;
+  EXPECT_NE(run.output.find("src/nn/bad_layer.cpp"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("'acc'"), std::string::npos) << run.output;
+}
+
 TEST(FiflLint, R4MsgTypeCoverageFires) {
   const LintRun run = run_lint(fixture("r4_msgtype") + " --no-headers");
   EXPECT_EQ(run.exit_code, 1) << run.output;

@@ -2,10 +2,84 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+
+#include "nn/models.hpp"
 #include "tensor/ops.hpp"
 
 namespace fifl::nn {
 namespace {
+
+// Two models from the same seed: one trained through backward(), one
+// through backward_params(). Their parameter gradients must agree bit for
+// bit — skipping the unread input gradient changes nothing else.
+void expect_backward_params_matches(
+    const std::function<std::unique_ptr<Sequential>(util::Rng&)>& make,
+    const tensor::Shape& input_shape, std::size_t outputs) {
+  util::Rng rng_a(11), rng_b(11), data_rng(12);
+  auto full = make(rng_a);
+  auto params_only = make(rng_b);
+  const tensor::Tensor x = tensor::Tensor::gaussian(input_shape, data_rng);
+  const tensor::Tensor gy =
+      tensor::Tensor::gaussian({input_shape[0], outputs}, data_rng);
+  (void)full->forward(x);
+  const tensor::Tensor gx = full->backward(gy);
+  EXPECT_EQ(gx.shape(), input_shape);
+  (void)params_only->forward(x);
+  params_only->backward_params(gy);
+  const std::vector<float> a = full->flatten_gradients();
+  const std::vector<float> b = params_only->flatten_gradients();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
+TEST(Sequential, BackwardParamsMatchesBackwardOnLenet) {
+  // Conv2d first: its input gradient is the one skipped.
+  expect_backward_params_matches(
+      [](util::Rng& rng) {
+        return make_lenet({.channels = 1, .image_size = 12, .classes = 10}, rng);
+      },
+      {3, 1, 12, 12}, 10);
+}
+
+TEST(Sequential, BackwardParamsMatchesBackwardBehindParameterFreeLayers) {
+  // Flatten first: it is skipped, and the first Linear skips its dX.
+  expect_backward_params_matches(
+      [](util::Rng& rng) {
+        auto model = std::make_unique<Sequential>();
+        model->emplace<Flatten>();
+        model->emplace<Linear>(16, 8, rng);
+        model->emplace<ReLU>();
+        model->emplace<Linear>(8, 4, rng);
+        return model;
+      },
+      {5, 1, 4, 4}, 4);
+}
+
+TEST(Sequential, NestedSequentialKeepsItsInputGradient) {
+  // A nested Sequential is a layer whose caller needs its input gradient
+  // (second position), or the first layer that may skip it (first position).
+  for (const bool nested_first : {false, true}) {
+    expect_backward_params_matches(
+        [nested_first](util::Rng& rng) {
+          auto inner = std::make_unique<Sequential>();
+          inner->emplace<Linear>(6, 6, rng);
+          inner->emplace<ReLU>();
+          auto model = std::make_unique<Sequential>();
+          if (nested_first) {
+            model->add(std::move(inner));
+            model->emplace<Linear>(6, 3, rng);
+          } else {
+            model->emplace<Linear>(6, 6, rng);
+            model->add(std::move(inner));
+            model->emplace<Linear>(6, 3, rng);
+          }
+          return model;
+        },
+        {4, 6}, 3);
+  }
+}
 
 TEST(Sequential, ForwardChainsLayers) {
   util::Rng rng(1);

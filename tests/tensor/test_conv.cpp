@@ -2,11 +2,83 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <tuple>
+
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace fifl::tensor {
 namespace {
+
+// Bitwise tensor equality: same shape, same bits in every element
+// (signed zeros and NaN payloads included).
+::testing::AssertionResult bits_equal(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.shape_string() << " vs " << b.shape_string();
+  }
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    std::uint32_t x = 0, y = 0;
+    std::memcpy(&x, a.data() + i, sizeof x);
+    std::memcpy(&y, b.data() + i, sizeof y);
+    if (x != y) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The definitional conv: whole-batch im2col, one big matmul per product,
+// col2im. conv2d_forward/backward must reproduce these bits exactly.
+struct ReferenceConv {
+  Tensor out, grad_input, grad_weight, grad_bias;
+};
+
+ReferenceConv reference_conv(const Tensor& x, const Tensor& w, const Tensor& b,
+                             const Tensor& gy, const ConvSpec& s) {
+  const std::size_t n = x.dim(0), h = x.dim(2), wd = x.dim(3);
+  const std::size_t oc = s.out_channels, oh = s.out_dim(h), ow = s.out_dim(wd);
+  const std::size_t patch = s.in_channels * s.kernel * s.kernel;
+  const Tensor cols = im2col(x, s);
+  Tensor wmat = w.clone();
+  wmat.reshape({oc, patch});
+  ReferenceConv ref;
+  const Tensor prod = matmul_nt(cols, wmat);
+  ref.out = Tensor({n, oc, oh, ow});
+  Tensor gmat({n * oh * ow, oc});
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t ch = 0; ch < oc; ++ch) {
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const std::size_t row = (img * oh + oy) * ow + ox;
+          ref.out(img, ch, oy, ox) = prod(row, ch) + b[ch];
+          gmat(row, ch) = gy(img, ch, oy, ox);
+        }
+      }
+    }
+  }
+  ref.grad_weight = matmul_tn(gmat, cols);
+  ref.grad_weight.reshape(w.shape());
+  ref.grad_bias = Tensor({oc});
+  for (std::size_t row = 0; row < n * oh * ow; ++row) {
+    for (std::size_t ch = 0; ch < oc; ++ch) ref.grad_bias[ch] += gmat(row, ch);
+  }
+  ref.grad_input = col2im(matmul(gmat, wmat), s, n, h, wd);
+  return ref;
+}
+
+// Gradient with ReLU-like zeros, so the kernels' zero skip is exercised.
+Tensor sparse_gaussian(Shape shape, util::Rng& rng) {
+  Tensor t = Tensor::gaussian(std::move(shape), rng);
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    if (rng.uniform(0.0, 1.0) < 0.5) t[i] = 0.0f;
+  }
+  return t;
+}
 
 // Naive direct convolution reference.
 Tensor conv_reference(const Tensor& input, const Tensor& weight,
@@ -148,10 +220,95 @@ TEST(Conv, BackwardNumericalGradcheck) {
   }
 }
 
+// LeNet's two convs (k5, p2) and a stride-2, unpadded shape with a ragged
+// patch length.
+class ConvBitwise : public ::testing::TestWithParam<std::tuple<ConvSpec, Shape>> {};
+
+TEST_P(ConvBitwise, MatchesIm2colMatmulComposition) {
+  const auto& [s, in_shape] = GetParam();
+  util::Rng rng(0xC0DE + s.in_channels * 31 + s.stride);
+  const Tensor x = Tensor::gaussian(in_shape, rng);
+  const Tensor w =
+      Tensor::gaussian({s.out_channels, s.in_channels, s.kernel, s.kernel}, rng);
+  const Tensor b = Tensor::gaussian({s.out_channels}, rng);
+  const Tensor gy = sparse_gaussian(
+      {in_shape[0], s.out_channels, s.out_dim(in_shape[2]), s.out_dim(in_shape[3])},
+      rng);
+  const ReferenceConv ref = reference_conv(x, w, b, gy, s);
+
+  EXPECT_TRUE(bits_equal(conv2d_forward(x, w, b, s), ref.out));
+  const Conv2dGrads full = conv2d_backward(x, w, gy, s);
+  EXPECT_TRUE(bits_equal(full.grad_input, ref.grad_input));
+  EXPECT_TRUE(bits_equal(full.grad_weight, ref.grad_weight));
+  EXPECT_TRUE(bits_equal(full.grad_bias, ref.grad_bias));
+
+  // The first-layer path skips the input gradient and nothing else.
+  const Conv2dGrads params = conv2d_backward(x, w, gy, s, /*want_input_grad=*/false);
+  EXPECT_TRUE(params.grad_input.empty());
+  EXPECT_TRUE(bits_equal(params.grad_weight, ref.grad_weight));
+  EXPECT_TRUE(bits_equal(params.grad_bias, ref.grad_bias));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvBitwise,
+    ::testing::Values(
+        std::make_tuple(ConvSpec{.in_channels = 1, .out_channels = 6, .kernel = 5,
+                                 .stride = 1, .padding = 2},
+                        Shape{4, 1, 28, 28}),
+        std::make_tuple(ConvSpec{.in_channels = 6, .out_channels = 16, .kernel = 5,
+                                 .stride = 1, .padding = 2},
+                        Shape{4, 6, 14, 14}),
+        std::make_tuple(ConvSpec{.in_channels = 3, .out_channels = 5, .kernel = 3,
+                                 .stride = 2, .padding = 0},
+                        Shape{3, 3, 11, 9})),
+    [](const ::testing::TestParamInfo<ConvBitwise::ParamType>& param_info) {
+      const ConvSpec& s = std::get<0>(param_info.param);
+      return "c" + std::to_string(s.in_channels) + "_oc" +
+             std::to_string(s.out_channels) + "_k" + std::to_string(s.kernel) +
+             "_s" + std::to_string(s.stride) + "_p" + std::to_string(s.padding);
+    });
+
+TEST(Conv, BackwardRejectsMismatchedGradOutput) {
+  util::Rng rng(6);
+  ConvSpec s{.in_channels = 2, .out_channels = 3, .kernel = 3, .stride = 1, .padding = 1};
+  const Tensor x = Tensor::gaussian({2, 2, 5, 5}, rng);
+  const Tensor w = Tensor::gaussian({3, 2, 3, 3}, rng);
+  // One output row short of (N, OC, OH, OW): every read past it would be
+  // out of bounds.
+  const Tensor gy = Tensor::gaussian({2, 3, 4, 5}, rng);
+  EXPECT_THROW((void)conv2d_backward(x, w, gy, s), std::invalid_argument);
+}
+
+TEST(Conv, BackwardRejectsInputChannelMismatch) {
+  util::Rng rng(7);
+  ConvSpec s{.in_channels = 2, .out_channels = 3, .kernel = 3, .stride = 1, .padding = 1};
+  const Tensor x = Tensor::gaussian({2, 3, 5, 5}, rng);  // 3 channels, spec says 2
+  const Tensor w = Tensor::gaussian({3, 2, 3, 3}, rng);
+  const Tensor gy = Tensor::gaussian({2, 3, 5, 5}, rng);
+  try {
+    (void)conv2d_backward(x, w, gy, s);
+    FAIL() << "conv2d_backward accepted a 3-channel input for a 2-channel spec";
+  } catch (const std::invalid_argument& e) {
+    // Rejected at conv2d_backward's own boundary, naming both counts.
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("conv2d_backward", 0), 0u) << what;
+    EXPECT_NE(what.find('3'), std::string::npos) << what;
+    EXPECT_NE(what.find('2'), std::string::npos) << what;
+  }
+}
+
+TEST(Pool, MaxPoolBackwardRejectsOutOfRangeArgmax) {
+  const Tensor gy({1, 1, 1, 2}, std::vector<float>{1.0f, 2.0f});
+  // Input (1,1,2,4) has 8 elements; index 8 is one past the end.
+  const std::vector<std::uint32_t> argmax = {1, 8};
+  EXPECT_THROW((void)maxpool2d_backward(gy, argmax, Shape{1, 1, 2, 4}),
+               std::invalid_argument);
+}
+
 TEST(Pool, MaxPoolPicksWindowMaxima) {
   Tensor x({1, 1, 4, 4});
   for (std::size_t i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
-  std::vector<std::size_t> argmax;
+  std::vector<std::uint32_t> argmax;
   Tensor y = maxpool2d_forward(x, 2, argmax);
   EXPECT_EQ(y.dim(2), 2u);
   EXPECT_FLOAT_EQ(y(0, 0, 0, 0), 5.0f);
@@ -162,7 +319,7 @@ TEST(Pool, MaxPoolPicksWindowMaxima) {
 
 TEST(Pool, MaxPoolBackwardRoutesToArgmax) {
   Tensor x({1, 1, 2, 2}, std::vector<float>{1, 9, 3, 4});
-  std::vector<std::size_t> argmax;
+  std::vector<std::uint32_t> argmax;
   Tensor y = maxpool2d_forward(x, 2, argmax);
   Tensor gy({1, 1, 1, 1}, std::vector<float>{2.5f});
   Tensor gx = maxpool2d_backward(gy, argmax, x.shape());
@@ -174,7 +331,7 @@ TEST(Pool, MaxPoolBackwardRoutesToArgmax) {
 
 TEST(Pool, MaxPoolRejectsNonDividingWindow) {
   Tensor x({1, 1, 5, 5});
-  std::vector<std::size_t> argmax;
+  std::vector<std::uint32_t> argmax;
   EXPECT_THROW((void)maxpool2d_forward(x, 2, argmax), std::invalid_argument);
 }
 

@@ -169,6 +169,84 @@ TEST_F(KernelEquivalence, MatmulKernelsBitIdentical) {
   }
 }
 
+TEST_F(KernelEquivalence, MatmulKernelsBitIdenticalAtTrainingShapes) {
+  // LeNet's products: conv patches of 25 / 150 against 6 / 16 channels,
+  // Linear widths 84 / 784 — every register-block remainder of the AVX2
+  // kernels, with ReLU-like zeros in A.
+  fifl::util::Rng rng(0xF1F11005);
+  const struct {
+    std::size_t m, k, n;
+  } shapes[] = {{32, 25, 6}, {20, 150, 16}, {32, 784, 84}, {7, 84, 10},
+                {6, 196, 150}, {16, 33, 25}, {3, 9, 5}};
+  for (const auto& s : shapes) {
+    std::vector<float> a = random_vec(rng, s.m * s.k);
+    for (std::size_t i = 0; i < a.size(); i += 2) a[i] = 0.0f;
+    const std::vector<float> b = random_vec(rng, s.k * s.n);
+    const std::vector<float> bt = random_vec(rng, s.n * s.k);
+    const std::vector<float> base = random_vec(rng, s.m * s.n);
+    std::vector<float> cs = base, cv = base;
+    scalar_->matmul_rows(a.data(), b.data(), cs.data(), 0, s.m, s.k, s.n);
+    avx2_->matmul_rows(a.data(), b.data(), cv.data(), 0, s.m, s.k, s.n);
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      ASSERT_TRUE(bits_equal_f(cs[i], cv[i]))
+          << "matmul_rows " << s.m << "x" << s.k << "x" << s.n << " @" << i;
+    }
+    scalar_->matmul_nt_rows(a.data(), bt.data(), cs.data(), 0, s.m, s.k, s.n);
+    avx2_->matmul_nt_rows(a.data(), bt.data(), cv.data(), 0, s.m, s.k, s.n);
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      ASSERT_TRUE(bits_equal_f(cs[i], cv[i]))
+          << "matmul_nt_rows " << s.m << "x" << s.k << "x" << s.n << " @" << i;
+    }
+  }
+}
+
+// The matmul_tn_rows contract: kk runs outermost, yet every C element must
+// equal the plain i-outer, kk-ascending axpy loop bit for bit — on both
+// backends, at awkward row counts, patch lengths up to past 8k, and with
+// zeros in A (skipped, so a NaN in the matching B row must not leak in).
+TEST(MatmulTnRows, MatchesIOuterReferenceOnEveryBackend) {
+  fifl::util::Rng rng(0xF1F11006);
+  std::vector<const kernels::KernelTable*> backends = {&kernels::scalar_table()};
+  if (kernels::avx2_table() != nullptr && kernels::cpu_supports_avx2()) {
+    backends.push_back(kernels::avx2_table());
+  }
+  for (const std::size_t m : {1, 6, 16, 84}) {
+    for (const std::size_t k : {25, 150, 8195}) {
+      for (const std::size_t n : {25, 150}) {
+        std::vector<float> a = random_vec(rng, k * m);  // A is k×m
+        std::vector<float> b = random_vec(rng, k * n);
+        for (std::size_t kk = 0; kk < k; kk += 3) {
+          for (std::size_t i = 0; i < m; ++i) a[kk * m + i] = 0.0f;
+          b[kk * n + kk % n] = std::numeric_limits<float>::quiet_NaN();
+        }
+        for (std::size_t i = 1; i < a.size(); i += 7) a[i] = 0.0f;
+        const std::vector<float> base = random_vec(rng, m * n);
+        // Reference: i outer, kk ascending, zero skip — the loop order the
+        // kernel had before kk moved outermost.
+        std::vector<float> ref = base;
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            const float av = a[kk * m + i];
+            if (av == 0.0f) continue;
+            for (std::size_t j = 0; j < n; ++j) ref[i * n + j] += av * b[kk * n + j];
+          }
+        }
+        for (const kernels::KernelTable* kt : backends) {
+          std::vector<float> c = base;
+          // Two row ranges, as callers split C across threads.
+          const std::size_t mid = m / 2;
+          kt->matmul_tn_rows(a.data(), b.data(), c.data(), 0, mid, k, m, n);
+          kt->matmul_tn_rows(a.data(), b.data(), c.data(), mid, m, k, m, n);
+          for (std::size_t i = 0; i < c.size(); ++i) {
+            ASSERT_TRUE(bits_equal_f(c[i], ref[i]))
+                << kt->name << " m=" << m << " k=" << k << " n=" << n << " @" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(KernelEquivalence, ZeroSkipPreservedInAxpyFormMatmuls) {
   // The `a == 0.0f` skip must exist in BOTH backends: skipping in one and
   // multiplying in the other would still be value-identical for finite B,

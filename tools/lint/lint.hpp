@@ -104,8 +104,10 @@ struct Config {
   };
   // R1/R3 only fire on deterministic-output paths.
   std::vector<std::string> det_paths = {"src/"};
+  // src/tensor/ and src/nn/ are the training path: θ and every upload
+  // depend on their per-element operation order.
   std::vector<std::string> fp_paths = {"src/core/", "src/net/", "src/chain/",
-                                       "src/tensor/kernels/"};
+                                       "src/tensor/", "src/nn/"};
   // R4 cross-file triple (relative to root); the rule runs iff the enum
   // header exists.
   std::string msg_enum = "src/net/messages.hpp";
