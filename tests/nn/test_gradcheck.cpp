@@ -2,6 +2,8 @@
 // parameters and compare the loss delta with the analytic backward pass.
 // This is the strongest correctness guarantee the nn substrate has — if it
 // holds, every layer's chain rule composition is right.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "nn/loss.hpp"
@@ -18,6 +20,13 @@ struct GradcheckCase {
   std::size_t stride;  // check every `stride`-th parameter
   double tolerance;
 };
+
+// gtest prints a parameter it has no printer for as its raw bytes, and
+// `name` is a pointer whose bytes change with every process. The ctest
+// names gtest_discover_tests builds from that listing would change with
+// every build; printing the case name keeps them stable
+// (Models/ModelGradcheck.AnalyticMatchesNumeric/<name>).
+void PrintTo(const GradcheckCase& tc, std::ostream* os) { *os << tc.name; }
 
 class ModelGradcheck : public ::testing::TestWithParam<GradcheckCase> {};
 
@@ -124,10 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
                       {3, 1, 8, 8},
                       3,
                       17,
-                      5e-3}),
-    [](const ::testing::TestParamInfo<GradcheckCase>& param_info) {
-      return param_info.param.name;
-    });
+                      5e-3}));
 
 }  // namespace
 }  // namespace fifl::nn

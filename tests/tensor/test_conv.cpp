@@ -4,8 +4,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
-#include <tuple>
 
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -222,10 +222,22 @@ TEST(Conv, BackwardNumericalGradcheck) {
 
 // LeNet's two convs (k5, p2) and a stride-2, unpadded shape with a ragged
 // patch length.
-class ConvBitwise : public ::testing::TestWithParam<std::tuple<ConvSpec, Shape>> {};
+struct ConvCase {
+  const char* name;
+  ConvSpec spec;
+  Shape input;
+};
+
+// Prints the case name, so the ctest names gtest_discover_tests derives
+// from the listing read Shapes/ConvBitwise.MatchesIm2colMatmulComposition/
+// <name> rather than the parameter's raw bytes.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.name; }
+
+class ConvBitwise : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvBitwise, MatchesIm2colMatmulComposition) {
-  const auto& [s, in_shape] = GetParam();
+  const ConvSpec& s = GetParam().spec;
+  const Shape& in_shape = GetParam().input;
   util::Rng rng(0xC0DE + s.in_channels * 31 + s.stride);
   const Tensor x = Tensor::gaussian(in_shape, rng);
   const Tensor w =
@@ -252,21 +264,18 @@ TEST_P(ConvBitwise, MatchesIm2colMatmulComposition) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvBitwise,
     ::testing::Values(
-        std::make_tuple(ConvSpec{.in_channels = 1, .out_channels = 6, .kernel = 5,
-                                 .stride = 1, .padding = 2},
-                        Shape{4, 1, 28, 28}),
-        std::make_tuple(ConvSpec{.in_channels = 6, .out_channels = 16, .kernel = 5,
-                                 .stride = 1, .padding = 2},
-                        Shape{4, 6, 14, 14}),
-        std::make_tuple(ConvSpec{.in_channels = 3, .out_channels = 5, .kernel = 3,
-                                 .stride = 2, .padding = 0},
-                        Shape{3, 3, 11, 9})),
-    [](const ::testing::TestParamInfo<ConvBitwise::ParamType>& param_info) {
-      const ConvSpec& s = std::get<0>(param_info.param);
-      return "c" + std::to_string(s.in_channels) + "_oc" +
-             std::to_string(s.out_channels) + "_k" + std::to_string(s.kernel) +
-             "_s" + std::to_string(s.stride) + "_p" + std::to_string(s.padding);
-    });
+        ConvCase{"c1_oc6_k5_s1_p2",
+                 ConvSpec{.in_channels = 1, .out_channels = 6, .kernel = 5,
+                          .stride = 1, .padding = 2},
+                 Shape{4, 1, 28, 28}},
+        ConvCase{"c6_oc16_k5_s1_p2",
+                 ConvSpec{.in_channels = 6, .out_channels = 16, .kernel = 5,
+                          .stride = 1, .padding = 2},
+                 Shape{4, 6, 14, 14}},
+        ConvCase{"c3_oc5_k3_s2_p0",
+                 ConvSpec{.in_channels = 3, .out_channels = 5, .kernel = 3,
+                          .stride = 2, .padding = 0},
+                 Shape{3, 3, 11, 9}}));
 
 TEST(Conv, BackwardRejectsMismatchedGradOutput) {
   util::Rng rng(6);
