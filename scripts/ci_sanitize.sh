@@ -5,8 +5,8 @@
 #   address    full ctest suite under ASan (heap/stack/UAF bugs anywhere)
 #   undefined  full ctest suite under UBSan (signed overflow, misaligned
 #              loads, invalid enum casts in the codec paths)
-#   thread     ctest -L "net|chain|obs" under TSan (the net stack is all
-#              threads and condition variables, and the chain suites
+#   thread     ctest -L "net|chain|obs|core" under TSan (the net stack is
+#              all threads and condition variables, and the chain suites
 #              cover the replicated-ledger commit protocol those threads
 #              drive; the net label also pulls in the lead-failover
 #              suite — election, executor rotation, rejoin-by-replay —
@@ -14,8 +14,10 @@
 #              the obs label covers the metrics/span/flight-recorder
 #              sinks that every net thread writes into, i.e. the mutexes
 #              the R6-R9 lint rules and the Clang thread-safety
-#              annotations now document; other single-threaded suites
-#              add nothing)
+#              annotations now document; the core label covers
+#              FiflEngine's assessment path, whose detection,
+#              contribution, aggregation and ledger digests run as pool
+#              tasks; other single-threaded suites add nothing)
 #   matrix     all three lanes in sequence (address, undefined, thread)
 #
 # Usage: scripts/ci_sanitize.sh [lane]
@@ -52,8 +54,8 @@ run_lane() {
   # per-test timeouts up rather than loosening them for everyone.
   case "$sanitizer" in
     thread)
-      echo '== ctest -L "net|chain|obs" (thread) =='
-      ctest --test-dir "$build_dir" -L "net|chain|obs" --output-on-failure \
+      echo '== ctest -L "net|chain|obs|core" (thread) =='
+      ctest --test-dir "$build_dir" -L "net|chain|obs|core" --output-on-failure \
         --timeout 1200 -j 2
       ;;
     address|undefined)

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/scoped_timer.hpp"
+#include "util/parallel_for.hpp"
 
 namespace fifl::chain {
 
@@ -96,9 +97,13 @@ std::uint64_t Ledger::seal_block() {
   block.records = std::move(pending_);
   pending_.clear();
 
-  std::vector<Digest> leaves;
-  leaves.reserve(block.records.size());
-  for (const auto& rec : block.records) leaves.push_back(rec.digest());
+  // One pool task per record digest (a Merkle leaf), each leaf written by
+  // its own task only.
+  std::vector<Digest> leaves(block.records.size());
+  util::parallel_for(
+      0, leaves.size(),
+      [&](std::size_t k) { leaves[k] = block.records[k].digest(); },
+      /*grain=*/1);
   block.merkle_root = MerkleTree(std::move(leaves)).root();
   block.block_hash = block.compute_hash();
   blocks_.push_back(std::move(block));

@@ -60,7 +60,8 @@ class Ledger {
   const AuditRecord& append(RecordKind kind, std::uint64_t round,
                             NodeId subject, NodeId executor, double value);
 
-  /// Seals staged records into a new block; returns its index.
+  /// Seals staged records into a new block; returns its index. The record
+  /// digests (the Merkle leaves) are computed as tasks on the global pool.
   std::uint64_t seal_block();
 
   std::size_t block_count() const noexcept { return blocks_.size(); }

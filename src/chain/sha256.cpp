@@ -152,6 +152,10 @@ Digest sha256(const std::string& s) {
 
 Digest hmac_sha256(std::span<const std::uint8_t> key,
                    std::span<const std::uint8_t> message) {
+  return HmacSha256(key).tag(message);
+}
+
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> key_block{};
   if (key.size() > 64) {
     const Digest kd = sha256(key);
@@ -164,12 +168,15 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
     ipad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x5c);
   }
-  Sha256 inner;
-  inner.update(std::span<const std::uint8_t>(ipad.data(), 64));
+  inner_.update(std::span<const std::uint8_t>(ipad.data(), 64));
+  outer_.update(std::span<const std::uint8_t>(opad.data(), 64));
+}
+
+Digest HmacSha256::tag(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.update(message);
   const Digest inner_digest = inner.finish();
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>(opad.data(), 64));
+  Sha256 outer = outer_;
   outer.update(std::span<const std::uint8_t>(inner_digest.data(),
                                              inner_digest.size()));
   return outer.finish();

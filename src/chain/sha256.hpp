@@ -41,6 +41,20 @@ Digest sha256(const std::string& s);
 Digest hmac_sha256(std::span<const std::uint8_t> key,
                    std::span<const std::uint8_t> message);
 
+/// HMAC-SHA256 under one fixed key. The hash states that follow the ipad
+/// and opad blocks are computed once and copied by every tag(), so a short
+/// message costs two compressions instead of four.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(std::span<const std::uint8_t> key);
+
+  Digest tag(std::span<const std::uint8_t> message) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
+
 std::string to_hex(const Digest& d);
 
 }  // namespace fifl::chain

@@ -6,46 +6,44 @@ namespace fifl::chain {
 
 KeyRegistry::KeyRegistry(std::uint64_t seed) : seed_(seed) {}
 
-void KeyRegistry::register_node(NodeId node) { nodes_[node] = true; }
-
-bool KeyRegistry::is_registered(NodeId node) const {
-  return nodes_.contains(node);
-}
-
-Digest KeyRegistry::key_for(NodeId node) const {
+void KeyRegistry::register_node(NodeId node) {
   // Secret key = SHA256(seed || node). Deterministic for reproducibility,
   // but unknowable to other simulated nodes (they never see `seed_`).
   std::string material = "fifl-key:";
   material += std::to_string(seed_);
   material += ':';
   material += std::to_string(node);
-  return sha256(material);
+  const Digest key = sha256(material);
+  keys_.insert_or_assign(
+      node, HmacSha256(std::span<const std::uint8_t>(key.data(), key.size())));
 }
 
+bool KeyRegistry::is_registered(NodeId node) const {
+  return keys_.contains(node);
+}
+
+namespace {
+std::span<const std::uint8_t> bytes_of(const std::string& message) {
+  return {reinterpret_cast<const std::uint8_t*>(message.data()),
+          message.size()};
+}
+}  // namespace
+
 Signature KeyRegistry::sign(NodeId node, const std::string& message) const {
-  if (!is_registered(node)) {
+  const auto it = keys_.find(node);
+  if (it == keys_.end()) {
     throw std::invalid_argument("KeyRegistry::sign: unregistered node");
   }
-  const Digest key = key_for(node);
   Signature sig;
   sig.signer = node;
-  sig.tag = hmac_sha256(
-      std::span<const std::uint8_t>(key.data(), key.size()),
-      std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(message.data()),
-          message.size()));
+  sig.tag = it->second.tag(bytes_of(message));
   return sig;
 }
 
 bool KeyRegistry::verify(const Signature& sig, const std::string& message) const {
-  if (!is_registered(sig.signer)) return false;
-  const Digest key = key_for(sig.signer);
-  const Digest expected = hmac_sha256(
-      std::span<const std::uint8_t>(key.data(), key.size()),
-      std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(message.data()),
-          message.size()));
-  return expected == sig.tag;
+  const auto it = keys_.find(sig.signer);
+  if (it == keys_.end()) return false;
+  return it->second.tag(bytes_of(message)) == sig.tag;
 }
 
 }  // namespace fifl::chain

@@ -42,10 +42,9 @@ class KeyRegistry {
   bool verify(const Signature& sig, const std::string& message) const;
 
  private:
-  Digest key_for(NodeId node) const;
-
   std::uint64_t seed_;
-  std::map<NodeId, bool> nodes_;
+  /// Each node's HMAC key, derived once by register_node().
+  std::map<NodeId, HmacSha256> keys_;
 };
 
 }  // namespace fifl::chain

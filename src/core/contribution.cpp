@@ -6,6 +6,7 @@
 
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
+#include "util/parallel_for.hpp"
 
 namespace fifl::core {
 
@@ -14,21 +15,23 @@ ContributionResult ContributionModule::run(
     const fl::Gradient& global_gradient) const {
   ContributionResult result;
   const std::size_t n = uploads.size();
+  const std::size_t dim = global_gradient.size();
+  for (const fl::Upload& upload : uploads) {
+    if (upload.arrived && upload.gradient.size() != dim) {
+      throw std::invalid_argument("ContributionModule: gradient size mismatch");
+    }
+  }
   result.distances.assign(n, std::numeric_limits<double>::quiet_NaN());
   result.contributions.assign(n, 0.0);
 
   // Every b_i is one squared-distance pass against the same G̃ through the
   // dispatched kernel table (double accumulation, fixed 16-lane tree —
-  // bit-identical across backends by construction).
+  // bit-identical across backends by construction), computed by one pool
+  // task that is the only writer of distances[i].
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  const std::size_t dim = global_gradient.size();
   const float* global_flat = global_gradient.flat().data();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!uploads[i].arrived) continue;
-    if (uploads[i].gradient.size() != dim) {
-      throw std::invalid_argument("ContributionModule: gradient size mismatch");
-    }
+  const auto measure_worker = [&](std::size_t i) {
+    if (!uploads[i].arrived) return;
     double d = kt.squared_distance(uploads[i].gradient.flat().data(),
                                    global_flat, dim);
     if (!std::isfinite(d)) {
@@ -36,7 +39,8 @@ ContributionResult ContributionModule::run(
       d = std::numeric_limits<double>::infinity();
     }
     result.distances[i] = d;
-  }
+  };
+  util::parallel_for(0, n, measure_worker, /*grain=*/1);
 
   if (config_.anchor == Anchor::kZeroGradient) {
     result.threshold = kt.squared_norm(global_flat, dim);  // Dis(G̃, 0)

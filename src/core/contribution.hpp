@@ -41,6 +41,8 @@ class ContributionModule {
 
   /// Computes b_i and C_i for every upload against the global gradient.
   /// Uploads that did not arrive get distance NaN and contribution 0.
+  /// Each b_i is one task on the global pool; an arrived upload of the
+  /// wrong width throws std::invalid_argument before any is computed.
   ContributionResult run(std::span<const fl::Upload> uploads,
                          const fl::Gradient& global_gradient) const;
 

@@ -6,6 +6,7 @@
 
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
+#include "util/parallel_for.hpp"
 
 namespace fifl::core {
 
@@ -17,6 +18,11 @@ DetectionResult DetectionModule::run(
   }
   const std::size_t n = uploads.size();
   const std::size_t m = plan.servers();
+  for (const fl::Upload& upload : uploads) {
+    if (upload.arrived && upload.gradient.size() != plan.gradient_size()) {
+      throw std::invalid_argument("DetectionModule: upload gradient size mismatch");
+    }
+  }
   const tensor::kernels::KernelTable& kt = tensor::kernels::active();
 
   DetectionResult result;
@@ -36,13 +42,12 @@ DetectionResult DetectionModule::run(
     bench_norm2 += kt.squared_norm(benchmark[j].data(), benchmark[j].size());
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
+  // Worker i is scored by one pool task, the only writer of its entries in
+  // `result`, so the bytes do not depend on the pool size.
+  const auto score_worker = [&](std::size_t i) {
     if (!uploads[i].arrived) {
       result.uncertain[i] = 1;
-      continue;
-    }
-    if (uploads[i].gradient.size() != plan.gradient_size()) {
-      throw std::invalid_argument("DetectionModule: upload gradient size mismatch");
+      return;
     }
     double raw = 0.0;
     bool finite = true;
@@ -67,11 +72,12 @@ DetectionResult DetectionModule::run(
       // A non-finite gradient is by definition harmful: reject outright.
       result.scores[i] = -std::numeric_limits<double>::infinity();
       result.accepted[i] = 0;
-      continue;
+      return;
     }
     result.scores[i] = score;
     result.accepted[i] = score >= config_.threshold ? 1 : 0;
-  }
+  };
+  util::parallel_for(0, n, score_worker, /*grain=*/1);
   return result;
 }
 

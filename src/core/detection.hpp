@@ -52,6 +52,10 @@ class DetectionModule {
   /// products go through the dispatched SIMD kernels (tensor::kernels);
   /// the per-slice reduction order is the kernels' fixed 8-lane tree, so
   /// every replica — whatever its ISA — computes identical score bytes.
+  /// Workers are scored on the global pool, one task per worker, so the
+  /// bytes do not depend on the pool size either. Throws
+  /// std::invalid_argument on any benchmark or arrived-upload width
+  /// mismatch before scoring anyone.
   DetectionResult run(std::span<const fl::Upload> uploads,
                       const fl::SlicePlan& plan,
                       std::span<const std::span<const float>> benchmark) const;

@@ -5,11 +5,20 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/scoped_timer.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/logging.hpp"
+#include "util/parallel_for.hpp"
 
 namespace fifl::core {
+
+namespace {
+// Elements of G̃ per aggregation task: a 16 KB block stays in L1 while
+// every accepted upload's matching segment streams through it.
+constexpr std::size_t kAggregateBlock = 4096;
+}  // namespace
 
 FiflEngine::FiflEngine(FiflConfig config, std::size_t workers,
                        std::size_t gradient_size)
@@ -241,12 +250,32 @@ RoundReport FiflEngine::process_round(std::span<const fl::Upload> uploads) {
     total_weight += static_cast<double>(uploads[i].samples);
   }
   if (total_weight > 0.0) {
+    const std::size_t width = plan_.gradient_size();
+    // (weight, gradient) of each accepted upload, worker index ascending.
+    std::vector<std::pair<float, const float*>> terms;
     for (std::size_t i = 0; i < uploads.size(); ++i) {
       if (!uploads[i].arrived || !report.detection.accepted[i]) continue;
-      report.global_gradient.axpy(
+      if (uploads[i].gradient.size() != width) {
+        throw std::invalid_argument("FiflEngine: upload gradient size mismatch");
+      }
+      terms.emplace_back(
           static_cast<float>(static_cast<double>(uploads[i].samples) / total_weight),
-          uploads[i].gradient);
+          uploads[i].gradient.data());
     }
+    // One pool task per element block of G̃ applies every accepted upload
+    // in ascending worker order. axpy is elementwise, so neither the block
+    // size nor the pool size changes a byte.
+    const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+    float* global = report.global_gradient.data();
+    const auto aggregate_block = [&](std::size_t b) {
+      const std::size_t lo = b * kAggregateBlock;
+      const std::size_t len = std::min(kAggregateBlock, width - lo);
+      for (const auto& [weight, gradient] : terms) {
+        kt.axpy(global + lo, weight, gradient + lo, len);
+      }
+    };
+    util::parallel_for(0, (width + kAggregateBlock - 1) / kAggregateBlock,
+                       aggregate_block, /*grain=*/1);
   }
 
   // --- 4. contribution (Eq. 13-14) ----------------------------------------

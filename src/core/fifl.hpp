@@ -81,7 +81,10 @@ class FiflEngine {
   void initialize_servers(std::span<const double> verification_scores);
 
   /// Runs the full pipeline on one round of uploads (uploads.size() must
-  /// equal workers()).
+  /// equal workers()). Detection, contribution, aggregation and the ledger's
+  /// record digests run as tasks on util::ThreadPool::global(), or serially
+  /// when called from a pool task; the report and ledger bytes are the same
+  /// either way (DESIGN.md "Assessment path").
   RoundReport process_round(std::span<const fl::Upload> uploads);
 
   /// Rejoin-by-replay: re-applies one committed block's records to rebuild

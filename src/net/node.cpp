@@ -1939,7 +1939,12 @@ bool ServerNode::run_election() {
       next_round_ = engine_->round();
       return true;
     }
-    auto env = endpoint_->recv(config_.timeouts.heartbeat);
+    // Wake by the deadline, not up to a heartbeat past it: survivors
+    // start their elections only milliseconds apart, and the first to
+    // abort must stop the others before their own deadlines.
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
+    auto env = endpoint_->recv(std::min(left, config_.timeouts.heartbeat));
     if (!env) continue;
     if (env->type == MessageType::kGradientUpload) {
       auto msg = decode_payload<GradientUploadMsg>(env->payload);

@@ -51,38 +51,4 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Parallel map-reduce: reduces body(i) over [begin,end) with `combine`,
-/// starting from `init`. Reduction order is deterministic (chunk order).
-template <typename T, typename Body, typename Combine>
-T parallel_reduce(std::size_t begin, std::size_t end, T init, const Body& body,
-                  const Combine& combine, std::size_t grain = 1024) {
-  if (end <= begin) return init;
-  const std::size_t n = end - begin;
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t max_chunks = std::max<std::size_t>(1, pool.size());
-  const std::size_t chunks =
-      std::min(max_chunks, std::max<std::size_t>(1, n / std::max<std::size_t>(1, grain)));
-  if (chunks <= 1 || ThreadPool::in_worker_thread()) {
-    T acc = init;
-    for (std::size_t i = begin; i < end; ++i) acc = combine(acc, body(i));
-    return acc;
-  }
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::future<T>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    futures.push_back(pool.submit([lo, hi, init, &body, &combine]() -> T {
-      T acc = init;
-      for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, body(i));
-      return acc;
-    }));
-  }
-  T acc = init;
-  for (auto& f : futures) acc = combine(acc, f.get());
-  return acc;
-}
-
 }  // namespace fifl::util

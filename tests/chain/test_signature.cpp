@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace fifl::chain {
 namespace {
 
@@ -59,6 +62,34 @@ TEST(KeyRegistry, SignaturesAreDeterministic) {
   KeyRegistry reg(5);
   reg.register_node(1);
   EXPECT_EQ(reg.sign(1, "m").tag, reg.sign(1, "m").tag);
+}
+
+TEST(KeyRegistry, TagIsHmacUnderTheDerivedNodeKey) {
+  // sign() and verify() reuse each node's cached HMAC pad states; the tag
+  // must stay HMAC-SHA256(SHA256("fifl-key:<seed>:<node>"), message).
+  const std::vector<std::string> messages = {
+      "", "m", "detection|3|17|0|0x1p+0", std::string(55, 'a'),
+      std::string(64, 'b'), std::string(200, 'c')};
+  for (const std::uint64_t seed : {0ull, 42ull, 0x51f7ull}) {
+    KeyRegistry reg(seed);
+    for (const NodeId node : {0u, 1u, 7u, 100u}) {
+      reg.register_node(node);
+      const Digest key = sha256("fifl-key:" + std::to_string(seed) + ":" +
+                                std::to_string(node));
+      for (const std::string& message : messages) {
+        const Digest expected = hmac_sha256(
+            std::span<const std::uint8_t>(key.data(), key.size()),
+            std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(message.data()),
+                message.size()));
+        const Signature sig = reg.sign(node, message);
+        EXPECT_EQ(sig.tag, expected)
+            << "seed " << seed << " node " << node << " message size "
+            << message.size();
+        EXPECT_TRUE(reg.verify(sig, message));
+      }
+    }
+  }
 }
 
 TEST(KeyRegistry, IsRegisteredReflectsState) {

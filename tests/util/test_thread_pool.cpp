@@ -101,30 +101,5 @@ TEST(ParallelFor, ExceptionInBodyPropagates) {
       std::runtime_error);
 }
 
-TEST(ParallelReduce, SumsCorrectly) {
-  const auto total = parallel_reduce<long long>(
-      1, 10001, 0LL, [](std::size_t i) { return static_cast<long long>(i); },
-      [](long long a, long long b) { return a + b; }, 8);
-  EXPECT_EQ(total, 50005000LL);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  const auto v = parallel_reduce<int>(
-      3, 3, 42, [](std::size_t) { return 1; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(v, 42);
-}
-
-TEST(ParallelReduce, MatchesSerialForRandomBodies) {
-  auto body = [](std::size_t i) {
-    return static_cast<double>((i * 2654435761u) % 1000) / 7.0;
-  };
-  double serial = 0.0;
-  for (std::size_t i = 0; i < 50000; ++i) serial += body(i);
-  const double parallel = parallel_reduce<double>(
-      0, 50000, 0.0, body, [](double a, double b) { return a + b; }, 64);
-  EXPECT_NEAR(serial, parallel, 1e-6);
-}
-
 }  // namespace
 }  // namespace fifl::util
