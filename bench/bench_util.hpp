@@ -35,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace fifl::bench {
 
@@ -59,11 +58,11 @@ inline std::filesystem::path output_dir() {
   return dir;
 }
 
-/// Wall-clock since static init — effectively program start for the
-/// single-TU bench binaries (an inline variable, so the clock starts
-/// before main, not at first use).
-inline const util::Timer g_process_timer{};
-inline const util::Timer& process_timer() { return g_process_timer; }
+/// Static-init time — effectively program start for the single-TU bench
+/// binaries (an inline variable, so the clock starts before main, not at
+/// first use).
+inline const std::chrono::steady_clock::time_point g_process_start =
+    std::chrono::steady_clock::now();
 
 // ---------------------------------------------------------------------------
 // Kernel-layer speedup instrumentation (micro_detection_cost,
@@ -238,7 +237,10 @@ inline void write_bench_json(const std::string& base, const std::string& title,
   w.key("rounds_env").value(util::env_int("FIFL_BENCH_ROUNDS", -1));
   w.key("scale").value(env_scale());
   w.end_object();
-  w.key("wall_seconds").value(process_timer().seconds());
+  w.key("wall_seconds")
+      .value(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           g_process_start)
+                 .count());
   w.key("table").begin_object();
   w.key("csv").value(csv_name);
   w.key("rows").value(static_cast<std::uint64_t>(table.rows()));

@@ -76,16 +76,6 @@ void BM_ScopedTimer(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopedTimer);
 
-void BM_SpanNested(benchmark::State& state) {
-  MetricsRegistry registry;
-  for (auto _ : state) {
-    Span outer("outer", registry);
-    Span inner("inner", registry);
-    benchmark::DoNotOptimize(&inner);
-  }
-}
-BENCHMARK(BM_SpanNested);
-
 void BM_TraceDisabledCheck(benchmark::State& state) {
   // The per-round cost of tracing when FIFL_TRACE_OUT is unset: the
   // producer checks enabled() and skips all assembly.

@@ -65,10 +65,8 @@ void JoinMsg::encode(util::ByteWriter& w) const {
   w.write_u32(node);
   w.write_u8(static_cast<std::uint8_t>(role));
   w.write_u32(codecs);
-  if (features != 0) {  // legacy layout stays byte-identical otherwise
-    w.write_u32(features);
-    w.write_u64(clock_us);
-  }
+  w.write_u32(features);
+  w.write_u64(clock_us);
 }
 
 JoinMsg JoinMsg::decode(util::ByteReader& r) {
@@ -79,10 +77,8 @@ JoinMsg JoinMsg::decode(util::ByteReader& r) {
   if (!fl::codec_in(m.codecs, fl::Codec::kDense)) {
     throw util::SerializeError("join: codec mask must include dense");
   }
-  if (r.remaining() >= 12) {  // optional feature/clock extension
-    m.features = r.read_u32();
-    m.clock_us = r.read_u64();
-  }
+  m.features = r.read_u32();
+  m.clock_us = r.read_u64();
   return m;
 }
 
@@ -95,10 +91,8 @@ void JoinAckMsg::encode(util::ByteWriter& w) const {
   w.write_u8(upload_codec);
   w.write_u8(broadcast_codec);
   w.write_f64(keep_fraction);
-  if (features != 0) {  // legacy layout stays byte-identical otherwise
-    w.write_u32(features);
-    w.write_u64(clock_us);
-  }
+  w.write_u32(features);
+  w.write_u64(clock_us);
 }
 
 JoinAckMsg JoinAckMsg::decode(util::ByteReader& r) {
@@ -118,10 +112,8 @@ JoinAckMsg JoinAckMsg::decode(util::ByteReader& r) {
   if (!(m.keep_fraction > 0.0) || m.keep_fraction > 1.0) {
     throw util::SerializeError("join_ack: keep_fraction outside (0,1]");
   }
-  if (r.remaining() >= 12) {  // optional feature/clock extension
-    m.features = r.read_u32();
-    m.clock_us = r.read_u64();
-  }
+  m.features = r.read_u32();
+  m.clock_us = r.read_u64();
   return m;
 }
 
@@ -268,6 +260,18 @@ SliceAggregateMsg SliceAggregateMsg::decode(util::ByteReader& r) {
   return m;
 }
 
+namespace {
+// Minimum encoded sizes of the shared codecs below, for the decoders'
+// count guards: a corrupted count is rejected before any allocation sized
+// by it.
+constexpr std::uint64_t kSignatureBytes = 4 + 32;  // signer + tag
+// kind + round + subject + executor + value + signature.
+constexpr std::uint64_t kAuditRecordBytes =
+    1 + 8 + 4 + 4 + 8 + kSignatureBytes;
+// index + 3 digests + executor signature + vote count (no votes).
+constexpr std::uint64_t kSealedHeaderBytes = 8 + 3 * 32 + kSignatureBytes + 8;
+}  // namespace
+
 void encode_audit_record(util::ByteWriter& w, const chain::AuditRecord& rec) {
   w.write_u8(static_cast<std::uint8_t>(rec.kind));
   w.write_u64(rec.round);
@@ -333,7 +337,6 @@ void encode_sealed_header(util::ByteWriter& w,
 }
 
 chain::SealedBlockHeader decode_sealed_header(util::ByteReader& r) {
-  constexpr std::uint64_t kSignatureBytes = 4 + 32;
   chain::SealedBlockHeader sealed;
   sealed.header.index = r.read_u64();
   sealed.header.previous_hash = decode_digest(r);
@@ -374,7 +377,6 @@ void BlockProposalMsg::encode(util::ByteWriter& w) const {
 }
 
 BlockProposalMsg BlockProposalMsg::decode(util::ByteReader& r) {
-  constexpr std::uint64_t kRecordBytes = 1 + 8 + 4 + 4 + 8 + 4 + 32;
   BlockProposalMsg m;
   m.round = r.read_u64();
   m.block_index = r.read_u64();
@@ -383,7 +385,7 @@ BlockProposalMsg BlockProposalMsg::decode(util::ByteReader& r) {
   m.block_hash = decode_digest(r);
   m.executor_sig = decode_signature(r);
   const std::uint64_t n_records = r.read_u64();
-  if (n_records > r.remaining() / kRecordBytes) {
+  if (n_records > r.remaining() / kAuditRecordBytes) {
     throw util::SerializeError("block_proposal: record count exceeds payload");
   }
   m.records.reserve(static_cast<std::size_t>(n_records));
@@ -486,8 +488,6 @@ void AuditProofMsg::encode(util::ByteWriter& w) const {
 
 AuditProofMsg AuditProofMsg::decode(util::ByteReader& r) {
   constexpr std::uint64_t kProofStepBytes = 32 + 1;
-  // index + 3 digests + executor signature + vote count.
-  constexpr std::uint64_t kHeaderBytes = 8 + 3 * 32 + (4 + 32) + 8;
   AuditProofMsg m;
   m.round = r.read_u64();
   m.worker = r.read_u32();
@@ -510,7 +510,7 @@ AuditProofMsg AuditProofMsg::decode(util::ByteReader& r) {
   }
   m.headers_from = r.read_u64();
   const std::uint64_t n_headers = r.read_u64();
-  if (n_headers > r.remaining() / kHeaderBytes) {
+  if (n_headers > r.remaining() / kSealedHeaderBytes) {
     throw util::SerializeError("audit_proof: header count exceeds payload");
   }
   m.headers.reserve(static_cast<std::size_t>(n_headers));
@@ -553,7 +553,6 @@ AssessmentResultMsg AssessmentResultMsg::decode(util::ByteReader& r) {
   // Per-entry minimum encoded sizes, used to reject corrupted counts
   // before any allocation sized by them.
   constexpr std::uint64_t kWorkerBytes = 4 + 3 + 4 * 8;
-  constexpr std::uint64_t kRecordBytes = 1 + 8 + 4 + 4 + 8 + 4 + 32;
   AssessmentResultMsg m;
   m.round = r.read_u64();
   m.degraded = decode_flag(r, "assessment");
@@ -574,7 +573,7 @@ AssessmentResultMsg AssessmentResultMsg::decode(util::ByteReader& r) {
     wa.reward = r.read_f64();
   }
   const std::uint64_t n_records = r.read_u64();
-  if (n_records > r.remaining() / kRecordBytes) {
+  if (n_records > r.remaining() / kAuditRecordBytes) {
     throw util::SerializeError("assessment: record count exceeds payload");
   }
   m.records.reserve(static_cast<std::size_t>(n_records));
@@ -680,9 +679,8 @@ void ChainSyncResponseMsg::encode(util::ByteWriter& w) const {
 ChainSyncResponseMsg ChainSyncResponseMsg::decode(util::ByteReader& r) {
   // Per-entry minimum encoded sizes, used to reject corrupted counts
   // before any allocation sized by them.
-  constexpr std::uint64_t kRecordBytes = 1 + 8 + 4 + 4 + 8 + 4 + 32;
-  // index + 3 digests + executor signature + vote count + record count.
-  constexpr std::uint64_t kBlockBytes = 8 + 3 * 32 + (4 + 32) + 8 + 8;
+  // A sealed header plus the record count.
+  constexpr std::uint64_t kBlockBytes = kSealedHeaderBytes + 8;
   ChainSyncResponseMsg m;
   m.round = r.read_u64();
   m.from_block = r.read_u64();
@@ -698,7 +696,7 @@ ChainSyncResponseMsg ChainSyncResponseMsg::decode(util::ByteReader& r) {
     SyncedBlock block;
     block.sealed = decode_sealed_header(r);
     const std::uint64_t n_records = r.read_u64();
-    if (n_records > r.remaining() / kRecordBytes) {
+    if (n_records > r.remaining() / kAuditRecordBytes) {
       throw util::SerializeError(
           "chain_sync_response: record count exceeds payload");
     }

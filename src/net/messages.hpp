@@ -74,8 +74,7 @@ static_assert(static_cast<std::size_t>(MessageType::kJoin) == 1 &&
 enum class NodeRole : std::uint8_t { kWorker = 0, kServer = 1 };
 
 /// Join/JoinAck feature bit: this node records + propagates distributed
-/// trace contexts (FIFL_TRACE_DIR). Travels in the optional trailing
-/// extension below, so pre-tracing peers keep parsing the legacy layout.
+/// trace contexts (FIFL_TRACE_DIR).
 inline constexpr std::uint32_t kFeatureTrace = 0x1u;
 
 struct JoinMsg {
@@ -85,11 +84,9 @@ struct JoinMsg {
   /// include kDense (the negotiation fallback) — decode rejects masks
   /// without it. The lead picks one codec per direction from this mask.
   std::uint32_t codecs = fl::codec_bit(fl::Codec::kDense);
-  /// Optional trailing extension (encoded only when features != 0, so a
-  /// non-tracing node's payload is byte-identical to the legacy schema):
-  /// feature bitmask + the sender's monotonic clock in microseconds at
-  /// send time, which seeds the clock-skew estimate fifl-tracecat uses
-  /// to merge node timelines.
+  /// Feature bitmask + the sender's monotonic clock in microseconds at
+  /// send time (0 unless tracing), which seeds the clock-skew estimate
+  /// fifl-tracecat uses to merge node timelines.
   std::uint32_t features = 0;
   std::uint64_t clock_us = 0;
 
@@ -109,10 +106,10 @@ struct JoinAckMsg {
   std::uint8_t upload_codec = static_cast<std::uint8_t>(fl::Codec::kDense);
   std::uint8_t broadcast_codec = static_cast<std::uint8_t>(fl::Codec::kDense);
   double keep_fraction = 1.0;
-  /// Optional trailing extension mirroring JoinMsg: the features both
-  /// sides agreed on (tracing requires the bit in Join AND JoinAck) plus
-  /// the lead's clock at ack time — the joiner derives its skew as
-  /// lead_clock + rtt/2 - local_recv_time.
+  /// Mirroring JoinMsg: the features both sides agreed on (tracing
+  /// requires the bit in Join AND JoinAck) plus the lead's clock at ack
+  /// time — the joiner derives its skew as lead_clock + rtt/2 -
+  /// local_recv_time.
   std::uint32_t features = 0;
   std::uint64_t clock_us = 0;
 

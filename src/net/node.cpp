@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "chain/sha256.hpp"
 #include "core/round_common.hpp"
@@ -22,8 +23,147 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-/// Snapshot of the global net counters, for per-round deltas.
-struct CounterSnapshot {
+/// Token space for the worker liveness heartbeats, disjoint from the
+/// per-round RTT ping tokens (which are round numbers).
+constexpr std::uint64_t kLivenessTokenBase = 1ull << 63;
+
+/// Sends one message under a fresh child span when tracing is on; the
+/// disabled path is the plain send plus one pointer check. `parent_span`
+/// links the send into the causal tree (0 = root of the round's tree).
+template <typename Msg>
+void traced_send(Endpoint& endpoint, const NodeTracer& tracer, NodeKey to,
+                 MessageType type, const Msg& msg, std::uint64_t round,
+                 std::uint64_t parent_span = 0) {
+  if (!tracer.tracing()) {
+    endpoint.send_msg(to, type, msg);
+    return;
+  }
+  const obs::TraceContext ctx{round_trace_id(round),
+                              next_span_id(tracer.node), parent_span};
+  const std::uint64_t t0 = trace_now_us();
+  endpoint.send_msg(to, type, msg, &ctx);
+  tracer.span(obs::SpanKind::kSend, message_type_name(type), round, t0,
+              trace_now_us() - t0, ctx, to);
+  tracer.note(obs::FlightEventKind::kSend, to,
+              static_cast<std::uint8_t>(type), round);
+}
+
+/// traced_send to a peer that may be gone: the failure is logged and
+/// returned, and the caller's deadline, liveness or quorum path absorbs
+/// the missing message.
+template <typename Msg>
+bool send_or_log(Endpoint& endpoint, const NodeTracer& tracer, NodeKey to,
+                 MessageType type, const Msg& msg, std::uint64_t round,
+                 std::uint64_t parent_span = 0) {
+  try {
+    traced_send(endpoint, tracer, to, type, msg, round, parent_span);
+    return true;
+  } catch (const std::exception& e) {
+    util::log_warn() << "net: node " << endpoint.address()
+                     << " failed to send " << message_type_name(type)
+                     << " for round " << round << " to node " << to << ": "
+                     << e.what();
+    return false;
+  }
+}
+
+/// Recv-side bookkeeping for one handled envelope: the per-type
+/// handle-time histogram always, a recv + handle span pair (and a
+/// flight-ring note) when the envelope carried a trace context.
+void note_handled(const NodeTracer& tracer, const Envelope& env,
+                  std::chrono::steady_clock::time_point start) {
+  const double ms = elapsed_ms(start);
+  if (obs::Histogram* h = NetMetrics::global().handle_for(
+          static_cast<std::uint8_t>(env.type))) {
+    h->observe(ms);
+  }
+  if (!tracer.tracing() || !env.has_trace) return;
+  const std::uint64_t round = env.trace.trace_id - 1;
+  const std::uint64_t dur = static_cast<std::uint64_t>(ms * 1000.0);
+  const std::uint64_t end = trace_now_us();
+  const obs::TraceContext recv_ctx{env.trace.trace_id,
+                                   next_span_id(tracer.node),
+                                   env.trace.span_id};
+  tracer.span(obs::SpanKind::kRecv, message_type_name(env.type), round,
+              end - dur, 0, recv_ctx, env.from);
+  const obs::TraceContext handle_ctx{env.trace.trace_id,
+                                     next_span_id(tracer.node),
+                                     recv_ctx.span_id};
+  tracer.span(obs::SpanKind::kHandle, message_type_name(env.type), round,
+              end - dur, dur, handle_ctx, env.from);
+  tracer.note(obs::FlightEventKind::kRecv, env.from,
+              static_cast<std::uint8_t>(env.type), round);
+}
+
+/// The join handshake both node kinds run against the bootstrap lead:
+/// sends `join` (advertising tracing when on, which starts the clock-sync
+/// handshake: the JoinAck answers with the lead's clock, and half the
+/// measured round trip estimates the one-way delay), hands every other
+/// envelope to `other`, and records the skew estimate. nullopt when the
+/// node was stopped first; throws when no JoinAck arrives in time.
+template <typename Other>
+std::optional<JoinAckMsg> join_lead(Endpoint& endpoint,
+                                    const NodeTracer& tracer, NodeKey lead,
+                                    JoinMsg join,
+                                    std::chrono::milliseconds timeout,
+                                    const std::atomic<bool>& stop,
+                                    const char* node_kind, Other other) {
+  std::uint64_t join_sent_us = 0;
+  if (tracer.tracing()) {
+    join.features = kFeatureTrace;
+    join_sent_us = trace_now_us();
+    join.clock_us = join_sent_us;
+  }
+  traced_send(endpoint, tracer, lead, MessageType::kJoin, join, 0);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!stop.load(std::memory_order_relaxed)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      throw std::runtime_error(std::string(node_kind) + " " +
+                               std::to_string(endpoint.address()) +
+                               ": join timed out");
+    }
+    auto env = endpoint.recv(left);
+    if (!env) continue;
+    if (env->type != MessageType::kJoinAck) {
+      other(*env);
+      continue;
+    }
+    const auto handle_start = std::chrono::steady_clock::now();
+    const auto ack = decode_payload<JoinAckMsg>(env->payload);
+    if (tracer.tracing() && (ack.features & kFeatureTrace) != 0) {
+      const std::uint64_t t1 = trace_now_us();
+      const std::int64_t rtt = static_cast<std::int64_t>(t1 - join_sent_us);
+      const std::int64_t skew = static_cast<std::int64_t>(ack.clock_us) +
+                                rtt / 2 - static_cast<std::int64_t>(t1);
+      tracer.clock(skew, rtt);
+    }
+    note_handled(tracer, *env, handle_start);
+    return ack;
+  }
+  return std::nullopt;
+}
+
+/// Executor round-phase bookkeeping: the phase histogram always, a phase
+/// span (+ flight note) when tracing.
+void note_phase(const NodeTracer& tracer, obs::Histogram* hist,
+                const char* name, std::uint64_t round,
+                std::chrono::steady_clock::time_point start) {
+  const double ms = elapsed_ms(start);
+  hist->observe(ms);
+  if (!tracer.tracing()) return;
+  const std::uint64_t dur = static_cast<std::uint64_t>(ms * 1000.0);
+  const obs::TraceContext ctx{round_trace_id(round),
+                              next_span_id(tracer.node), 0};
+  tracer.span(obs::SpanKind::kPhase, name, round, trace_now_us() - dur, dur,
+              ctx);
+  tracer.note(obs::FlightEventKind::kPhase, obs::kNoFlightPeer, 0, round);
+}
+
+}  // namespace
+
+struct ServerNode::CounterSnapshot {
   std::uint64_t bytes_tx, bytes_rx, msgs_tx, msgs_rx, frame_errors;
   std::uint64_t late_uploads, send_retries, dropped_workers;
   std::array<std::uint64_t, kMessageTypeCount> tx_by_type;
@@ -70,77 +210,6 @@ struct CounterSnapshot {
     return d;
   }
 };
-
-/// Token space for the worker liveness heartbeats, disjoint from the
-/// per-round RTT ping tokens (which are round numbers).
-constexpr std::uint64_t kLivenessTokenBase = 1ull << 63;
-
-/// Sends one message under a fresh child span when tracing is on; the
-/// disabled path is the plain send plus one pointer check. `parent_span`
-/// links the send into the causal tree (0 = root of the round's tree).
-template <typename Msg>
-void traced_send(Endpoint& endpoint, const NodeTracer& tracer, NodeKey to,
-                 MessageType type, const Msg& msg, std::uint64_t round,
-                 std::uint64_t parent_span = 0) {
-  if (!tracer.tracing()) {
-    endpoint.send_msg(to, type, msg);
-    return;
-  }
-  const obs::TraceContext ctx{round_trace_id(round),
-                              next_span_id(tracer.node), parent_span};
-  const std::uint64_t t0 = trace_now_us();
-  endpoint.send_msg(to, type, msg, &ctx);
-  tracer.span(obs::SpanKind::kSend, message_type_name(type), round, t0,
-              trace_now_us() - t0, ctx, to);
-  tracer.note(obs::FlightEventKind::kSend, to,
-              static_cast<std::uint8_t>(type), round);
-}
-
-/// Recv-side bookkeeping for one handled envelope: the per-type
-/// handle-time histogram always, a recv + handle span pair (and a
-/// flight-ring note) when the envelope carried a trace context.
-void note_handled(const NodeTracer& tracer, const Envelope& env,
-                  std::chrono::steady_clock::time_point start) {
-  const double ms = elapsed_ms(start);
-  if (obs::Histogram* h = NetMetrics::global().handle_for(
-          static_cast<std::uint8_t>(env.type))) {
-    h->observe(ms);
-  }
-  if (!tracer.tracing() || !env.has_trace) return;
-  const std::uint64_t round = env.trace.trace_id - 1;
-  const std::uint64_t dur = static_cast<std::uint64_t>(ms * 1000.0);
-  const std::uint64_t end = trace_now_us();
-  const obs::TraceContext recv_ctx{env.trace.trace_id,
-                                   next_span_id(tracer.node),
-                                   env.trace.span_id};
-  tracer.span(obs::SpanKind::kRecv, message_type_name(env.type), round,
-              end - dur, 0, recv_ctx, env.from);
-  const obs::TraceContext handle_ctx{env.trace.trace_id,
-                                     next_span_id(tracer.node),
-                                     recv_ctx.span_id};
-  tracer.span(obs::SpanKind::kHandle, message_type_name(env.type), round,
-              end - dur, dur, handle_ctx, env.from);
-  tracer.note(obs::FlightEventKind::kRecv, env.from,
-              static_cast<std::uint8_t>(env.type), round);
-}
-
-/// Executor round-phase bookkeeping: the phase histogram always, a phase
-/// span (+ flight note) when tracing.
-void note_phase(const NodeTracer& tracer, obs::Histogram* hist,
-                const char* name, std::uint64_t round,
-                std::chrono::steady_clock::time_point start) {
-  const double ms = elapsed_ms(start);
-  hist->observe(ms);
-  if (!tracer.tracing()) return;
-  const std::uint64_t dur = static_cast<std::uint64_t>(ms * 1000.0);
-  const obs::TraceContext ctx{round_trace_id(round),
-                              next_span_id(tracer.node), 0};
-  tracer.span(obs::SpanKind::kPhase, name, round, trace_now_us() - dur, dur,
-              ctx);
-  tracer.note(obs::FlightEventKind::kPhase, obs::kNoFlightPeer, 0, round);
-}
-
-}  // namespace
 
 std::vector<NodeKey> Topology::server_keys() const {
   std::vector<NodeKey> keys(servers);
@@ -231,14 +300,8 @@ void WorkerNode::send_audit_query(std::uint64_t round, std::uint32_t server,
   // Proof caching: the server only ships the committed headers this
   // worker has not verified yet.
   query.last_verified_index = verified_headers_.size();
-  try {
-    traced_send(*endpoint_, tracer_, topology_.server_key(server),
-                MessageType::kAuditQuery, query, round, parent_span);
-  } catch (const std::exception& e) {
-    util::log_warn() << "net: worker " << endpoint_->address()
-                     << " audit query for round " << round
-                     << " to server " << server << " failed: " << e.what();
-  }
+  send_or_log(*endpoint_, tracer_, topology_.server_key(server),
+              MessageType::kAuditQuery, query, round, parent_span);
 }
 
 void WorkerNode::retry_audit() {
@@ -261,46 +324,15 @@ void WorkerNode::retry_audit() {
 
 void WorkerNode::run() {
   current_lead_ = topology_.lead_key();
-  JoinMsg join{endpoint_->address(), NodeRole::kWorker, supported_codecs_};
-  std::uint64_t join_sent_us = 0;
-  if (tracer_.tracing()) {
-    // Advertise the trace feature and start the clock-sync handshake:
-    // the JoinAck answers with the lead's clock, and half the measured
-    // round trip estimates the one-way delay.
-    join.features = kFeatureTrace;
-    join_sent_us = trace_now_us();
-    join.clock_us = join_sent_us;
-  }
-  traced_send(*endpoint_, tracer_, current_lead_, MessageType::kJoin, join, 0);
-  const auto join_deadline = std::chrono::steady_clock::now() + timeouts_.join;
-  bool acked = false;
-  while (!acked && !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        join_deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      throw std::runtime_error("WorkerNode " +
-                               std::to_string(endpoint_->address()) +
-                               ": join timed out");
-    }
-    auto env = endpoint_->recv(left);
-    if (!env) continue;
-    if (env->type == MessageType::kJoinAck) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      const auto ack = decode_payload<JoinAckMsg>(env->payload);
-      upload_codec_ = static_cast<fl::Codec>(ack.upload_codec);
-      keep_fraction_ = ack.keep_fraction;
-      total_rounds_ = ack.rounds;
-      if (tracer_.tracing() && (ack.features & kFeatureTrace) != 0) {
-        const std::uint64_t t1 = trace_now_us();
-        const std::int64_t rtt = static_cast<std::int64_t>(t1 - join_sent_us);
-        const std::int64_t skew = static_cast<std::int64_t>(ack.clock_us) +
-                                  rtt / 2 - static_cast<std::int64_t>(t1);
-        tracer_.clock(skew, rtt);
-      }
-      note_handled(tracer_, *env, handle_start);
-      acked = true;
-    }
-  }
+  // Anything but the JoinAck is stray before the worker has joined.
+  const auto ack = join_lead(
+      *endpoint_, tracer_, current_lead_,
+      JoinMsg{endpoint_->address(), NodeRole::kWorker, supported_codecs_},
+      timeouts_.join, stop_, "WorkerNode", [](const Envelope&) {});
+  if (!ack) return;
+  upload_codec_ = static_cast<fl::Codec>(ack->upload_codec);
+  keep_fraction_ = ack->keep_fraction;
+  total_rounds_ = ack->rounds;
 
   // Event loop with a liveness side-channel: wake at the heartbeat
   // interval, ping the current lead so it can tell "slow" from "dead",
@@ -430,13 +462,11 @@ void WorkerNode::run() {
         break;
       }
       case MessageType::kHeartbeat: {
-        auto hb = decode_payload<HeartbeatMsg>(env->payload);
-        if (hb.echo == 0) {
-          endpoint_->send_msg(
-              env->from, MessageType::kHeartbeat,
-              HeartbeatMsg{endpoint_->address(), hb.token, 1});
-        } else if (auto it = ping_sent_.find(hb.token);
-                   it != ping_sent_.end()) {
+        // Servers only echo: the echo of this worker's round ping feeds
+        // net.rtt_ms.
+        const auto hb = decode_payload<HeartbeatMsg>(env->payload);
+        const auto it = ping_sent_.find(hb.token);
+        if (hb.echo == 1 && it != ping_sent_.end()) {
           NetMetrics::global().rtt_ms->observe(elapsed_ms(it->second));
           ping_sent_.erase(it);
         }
@@ -462,14 +492,8 @@ void WorkerNode::handle_broadcast(const ModelBroadcastMsg& msg,
   if (has_trained_ && msg.round < last_trained_round_) return;  // stale
   if (has_trained_ && msg.round == last_trained_round_) {
     for (NodeKey server : topology_.server_keys()) {
-      try {
-        traced_send(*endpoint_, tracer_, server, MessageType::kGradientUpload,
-                    cached_upload_, msg.round, parent_span);
-      } catch (const std::exception& e) {
-        util::log_warn() << "net: worker " << endpoint_->address()
-                         << " failed to re-upload to server " << server
-                         << ": " << e.what();
-      }
+      send_or_log(*endpoint_, tracer_, server, MessageType::kGradientUpload,
+                  cached_upload_, msg.round, parent_span);
     }
     try {
       endpoint_->send_msg(current_lead_, MessageType::kHeartbeat,
@@ -522,16 +546,10 @@ void WorkerNode::handle_broadcast(const ModelBroadcastMsg& msg,
   last_trained_round_ = msg.round;
   cached_upload_ = out;
   for (NodeKey server : topology_.server_keys()) {
-    try {
-      traced_send(*endpoint_, tracer_, server, MessageType::kGradientUpload,
-                  out, msg.round, parent_span);
-    } catch (const std::exception& e) {
-      // One unreachable server must not kill the worker: the lead's
-      // quorum path absorbs the missing upload.
-      util::log_warn() << "net: worker " << endpoint_->address()
-                       << " failed to upload to server " << server << ": "
-                       << e.what();
-    }
+    // One unreachable server must not kill the worker: the lead's quorum
+    // path absorbs the missing upload.
+    send_or_log(*endpoint_, tracer_, server, MessageType::kGradientUpload,
+                out, msg.round, parent_span);
   }
   // Ping the lead once per round; the echo feeds net.rtt_ms.
   ping_sent_[msg.round] = std::chrono::steady_clock::now();
@@ -591,8 +609,14 @@ void ServerNode::run() {
     await_federation();
     // The bootstrap lead's clock is the merged timeline's reference.
     if (tracer_.tracing()) tracer_.clock(0, 0);
-  } else {
-    join_federation();
+  } else if (const auto ack = join_lead(
+                 *endpoint_, tracer_, topology_.lead_key(),
+                 JoinMsg{endpoint_->address(), NodeRole::kServer},
+                 config_.timeouts.join, stop_, "ServerNode",
+                 [this](const Envelope& env) { handle_control(env); })) {
+    // A follower that may be elected executor must know when the run
+    // ends; the JoinAck carries the lead's round budget.
+    if (config_.rounds == 0) config_.rounds = ack->rounds;
   }
   // Role dispatcher: rotation, elections, and demotions move the executor
   // role at runtime; each sub-loop returns whenever the role flips.
@@ -605,6 +629,31 @@ void ServerNode::run() {
   }
 }
 
+std::optional<Envelope> ServerNode::step(std::chrono::milliseconds wait) {
+  std::optional<Envelope> env = endpoint_->recv(wait);
+  if (env) {
+    last_recv_ = std::chrono::steady_clock::now();
+    handle_control(*env);
+  }
+  return env;
+}
+
+template <typename Done>
+bool ServerNode::wait_until(std::chrono::steady_clock::time_point deadline,
+                            Done done) {
+  while (!done()) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0 || stop_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    // Wake at least once per heartbeat, so a predicate with a clock in it
+    // (liveness scan, re-send timer) runs even while the link is silent.
+    step(std::min(left, config_.timeouts.heartbeat));
+  }
+  return true;
+}
+
 void ServerNode::note_worker_traffic(NodeKey from) {
   if (from >= topology_.workers) return;
   last_seen_[from] = std::chrono::steady_clock::now();
@@ -614,6 +663,9 @@ void ServerNode::handle_control(const Envelope& envelope) {
   const auto handle_start = std::chrono::steady_clock::now();
   note_worker_traffic(envelope.from);
   switch (envelope.type) {
+    case MessageType::kGradientUpload:
+      intake_upload(decode_payload<GradientUploadMsg>(envelope.payload));
+      break;
     case MessageType::kJoin: {
       const auto join = decode_payload<JoinMsg>(envelope.payload);
       if (is_lead()) {
@@ -722,17 +774,12 @@ void ServerNode::handle_control(const Envelope& envelope) {
         const chain::AuditProofBundle bundle = replicated_->prove(
             static_cast<chain::RecordKind>(query.kind), query.round,
             query.worker, query.last_verified_index);
-        try {
-          traced_send(*endpoint_, tracer_, envelope.from,
-                      MessageType::kAuditProof,
-                      AuditProofMsg::from_bundle(query.round, query.worker,
-                                                 query.token, bundle),
-                      query.round,
-                      envelope.has_trace ? envelope.trace.span_id : 0);
-        } catch (const std::exception& e) {
-          util::log_warn() << "net: audit proof to node " << envelope.from
-                           << " failed: " << e.what();
-        }
+        send_or_log(*endpoint_, tracer_, envelope.from,
+                    MessageType::kAuditProof,
+                    AuditProofMsg::from_bundle(query.round, query.worker,
+                                               query.token, bundle),
+                    query.round,
+                    envelope.has_trace ? envelope.trace.span_id : 0);
       }
       break;
     }
@@ -757,8 +804,12 @@ void ServerNode::handle_control(const Envelope& envelope) {
       break;
     }
     case MessageType::kChainSyncResponse:
-      // Stray or late response: the requester's blocking wait already
-      // moved on, and an unsolicited sync must not mutate the replica.
+      // Only a pending request_chain_sync takes a response: a stray or
+      // late one must not mutate the replica.
+      if (sync_pending_) {
+        sync_response_ =
+            decode_payload<ChainSyncResponseMsg>(envelope.payload);
+      }
       break;
     case MessageType::kLeave:
       leave_received_ = true;
@@ -769,53 +820,73 @@ void ServerNode::handle_control(const Envelope& envelope) {
   note_handled(tracer_, envelope, handle_start);
 }
 
-void ServerNode::lead_handle_upload(
-    GradientUploadMsg msg, std::uint64_t round,
-    std::map<std::uint32_t, GradientUploadMsg>* slots) {
+void ServerNode::intake_upload(GradientUploadMsg msg) {
   auto& metrics = NetMetrics::global();
-  note_worker_traffic(msg.worker);
-  if (dead_workers_.count(msg.worker) != 0) {
-    // A declared-dead worker is speaking again: its uploads stay rejected
-    // for the round in flight (the roster already shrank around it), but
-    // it re-homes at the next ModelBroadcast and catches up from there.
-    metrics.dead_uploads->inc();
-    if (revive_pending_.insert(msg.worker).second) {
-      metrics.worker_rejoins->inc();
-      util::log_info() << "net: dead worker " << msg.worker
-                       << " is back, re-homing at next broadcast";
+  if (is_executor()) {
+    note_worker_traffic(msg.worker);
+    if (dead_workers_.count(msg.worker) != 0) {
+      // A declared-dead worker is speaking again: its uploads stay
+      // rejected for the round in flight (the roster already shrank
+      // around it), but it re-homes at the next ModelBroadcast and
+      // catches up from there.
+      metrics.dead_uploads->inc();
+      if (revive_pending_.insert(msg.worker).second) {
+        metrics.worker_rejoins->inc();
+        util::log_info() << "net: dead worker " << msg.worker
+                         << " is back, re-homing at next broadcast";
+      }
+      return;
     }
+    // An upload for round r proves the worker trained on θ_r, so it
+    // doubles as a broadcast ack for delta re-basing.
+    note_broadcast_ack(msg.worker, msg.round);
+    if (msg.round > next_round_ ||
+        (collect_open_ && msg.round == next_round_)) {
+      pending_uploads_[msg.round][msg.worker] = std::move(msg);
+      return;
+    }
+  } else if (msg.round >= next_round_) {
+    // A worker can race ahead of a lagging follower: hold the upload
+    // until its round's summary.
+    pending_uploads_[msg.round][msg.worker] = std::move(msg);
     return;
   }
-  // An upload for round r proves the worker trained on θ_r, so it doubles
-  // as a broadcast ack for delta re-basing.
-  note_broadcast_ack(msg.worker, msg.round);
-  if (slots != nullptr && msg.round == round) {
-    (*slots)[msg.worker] = std::move(msg);
-  } else if (msg.round > round) {
-    pending_uploads_[msg.round][msg.worker] = std::move(msg);
-  } else {
-    // Upload for a round whose collect window already closed.
-    metrics.late_uploads->inc();
-    util::log_debug() << "net: late upload from worker " << msg.worker
-                      << " for round " << msg.round << " (current " << round
-                      << ")";
+  // An upload for a round this server already closed.
+  metrics.late_uploads->inc();
+  util::log_debug() << "net: late upload from worker " << msg.worker
+                    << " for round " << msg.round << " (current "
+                    << next_round_ << ")";
+}
+
+void ServerNode::await_federation() {
+  const bool joined = wait_until(
+      std::chrono::steady_clock::now() + config_.timeouts.join, [this] {
+        return joined_workers_ >= topology_.workers &&
+               joined_servers_ + 1 >= topology_.servers;
+      });
+  if (!joined && !stop_.load(std::memory_order_relaxed)) {
+    throw std::runtime_error(
+        "lead: join phase timed out (" + std::to_string(joined_workers_) +
+        "/" + std::to_string(topology_.workers) + " workers, " +
+        std::to_string(joined_servers_ + 1) + "/" +
+        std::to_string(topology_.servers) + " servers)");
   }
 }
 
 void ServerNode::collect_uploads(
-    std::uint64_t round, std::map<std::uint32_t, GradientUploadMsg>& slots,
-    std::chrono::steady_clock::time_point deadline) {
+    std::uint64_t round, std::chrono::steady_clock::time_point deadline) {
   auto& metrics = NetMetrics::global();
+  // Route buffered-ahead uploads through the same intake as live ones, so
+  // a dead worker's early upload still counts as "spoke again".
+  std::map<std::uint32_t, GradientUploadMsg> buffered;
   if (auto it = pending_uploads_.find(round); it != pending_uploads_.end()) {
-    // Route buffered-ahead uploads through the same intake as live ones,
-    // so a dead worker's early upload still counts as "spoke again".
-    auto buffered = std::move(it->second);
+    buffered = std::move(it->second);
     pending_uploads_.erase(it);
-    for (auto& [worker, msg] : buffered) {
-      lead_handle_upload(std::move(msg), round, &slots);
-    }
   }
-  while (!leave_received_ && !stop_.load(std::memory_order_relaxed)) {
+  collect_open_ = true;
+  for (auto& [worker, msg] : buffered) intake_upload(std::move(msg));
+  wait_until(deadline, [&] {
+    if (leave_received_) return true;
     // Prune the roster: silence longer than the liveness window means the
     // worker process is gone, not slow. Its slot is given up immediately
     // so a crashed worker costs one liveness window, not a full phase
@@ -837,101 +908,19 @@ void ServerNode::collect_uploads(
                          << " dead (silent beyond the liveness window)";
       }
     }
-    bool all_live_slotted = true;
+    // Done once every live worker has a slot; missing workers become
+    // uncertain events at the deadline.
+    const auto& slots = pending_uploads_[round];
     for (std::uint32_t i = 0; i < topology_.workers; ++i) {
-      if (dead_workers_.count(i) == 0 && slots.count(i) == 0) {
-        all_live_slotted = false;
-        break;
-      }
+      if (dead_workers_.count(i) == 0 && slots.count(i) == 0) return false;
     }
-    if (all_live_slotted) break;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - now);
-    if (left.count() <= 0) break;  // missing workers become uncertain events
-    auto env = endpoint_->recv(std::min(left, config_.timeouts.heartbeat));
-    if (!env) continue;  // wake up for the liveness scan regardless
-    if (env->type == MessageType::kGradientUpload) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      lead_handle_upload(decode_payload<GradientUploadMsg>(env->payload),
-                         round, &slots);
-      note_handled(tracer_, *env, handle_start);
-    } else {
-      handle_control(*env);
-    }
-  }
-}
-
-void ServerNode::await_federation() {
-  const auto join_deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.join;
-  while ((joined_workers_ < topology_.workers ||
-          joined_servers_ + 1 < topology_.servers) &&
-         !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        join_deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      throw std::runtime_error(
-          "lead: join phase timed out (" + std::to_string(joined_workers_) +
-          "/" + std::to_string(topology_.workers) + " workers, " +
-          std::to_string(joined_servers_ + 1) + "/" +
-          std::to_string(topology_.servers) + " servers)");
-    }
-    auto env = endpoint_->recv(left);
-    if (env) handle_control(*env);
-  }
-}
-
-void ServerNode::join_federation() {
-  const NodeKey lead = topology_.lead_key();
-  JoinMsg join{endpoint_->address(), NodeRole::kServer};
-  std::uint64_t join_sent_us = 0;
-  if (tracer_.tracing()) {
-    join.features = kFeatureTrace;
-    join_sent_us = trace_now_us();
-    join.clock_us = join_sent_us;
-  }
-  traced_send(*endpoint_, tracer_, lead, MessageType::kJoin, join, 0);
-  const auto join_deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.join;
-  bool acked = false;
-  while (!acked && !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        join_deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      throw std::runtime_error("ServerNode " +
-                               std::to_string(endpoint_->address()) +
-                               ": join timed out");
-    }
-    auto env = endpoint_->recv(left);
-    if (!env) continue;
-    if (env->type == MessageType::kJoinAck) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      const auto ack = decode_payload<JoinAckMsg>(env->payload);
-      // A follower that may be elected executor must know when the run
-      // ends; the JoinAck carries the lead's round budget.
-      if (config_.rounds == 0) config_.rounds = ack.rounds;
-      if (tracer_.tracing() && (ack.features & kFeatureTrace) != 0) {
-        const std::uint64_t t1 = trace_now_us();
-        const std::int64_t rtt = static_cast<std::int64_t>(t1 - join_sent_us);
-        const std::int64_t skew = static_cast<std::int64_t>(ack.clock_us) +
-                                  rtt / 2 - static_cast<std::int64_t>(t1);
-        tracer_.clock(skew, rtt);
-      }
-      note_handled(tracer_, *env, handle_start);
-      acked = true;
-    } else {
-      handle_control(*env);
-    }
-  }
+    return true;
+  });
+  collect_open_ = false;
 }
 
 void ServerNode::run_executor() {
-  obs::RoundTraceRecorder* recorder =
-      trace_recorder_ ? trace_recorder_ : &obs::RoundTraceRecorder::global();
   auto& metrics = NetMetrics::global();
-  const std::size_t quorum_min = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(config_.quorum.min_fraction *
-                                            topology_.workers)));
   const std::uint32_t self = config_.server_index;
 
   while (next_round_ < config_.rounds &&
@@ -939,235 +928,37 @@ void ServerNode::run_executor() {
     const std::uint64_t r = next_round_;
     const CounterSnapshot net_before = CounterSnapshot::take();
     const auto train_start = std::chrono::steady_clock::now();
-
-    // Re-home workers that spoke again after being declared dead: they
-    // rejoin the roster exactly at a broadcast, so they catch up from the
-    // current θ and never land mid-round without a model.
-    for (NodeKey worker : revive_pending_) {
-      if (dead_workers_.erase(worker) != 0) {
-        util::log_info() << "net: worker " << worker << " rejoined for round "
-                         << r;
-      }
-    }
-    revive_pending_.clear();
-
-    // Broadcast θ_t to the live roster; every live worker's liveness
-    // window restarts here so a long collect cannot starve it. Workers
-    // that negotiated kDelta get a sparse update against the last θ they
-    // acknowledged when that beats the dense checkpoint. Workers whose
-    // upload for r is already buffered (this executor took over a round
-    // the old one had broadcast) are skipped — they trained this round
-    // and a duplicate broadcast would only cost a cached re-upload.
-    ModelBroadcastMsg broadcast;
-    broadcast.round = r;
-    broadcast.checkpoint =
-        nn::checkpoint_bytes(*global_model_, "round-" + std::to_string(r));
-    round_arena_.reset();
-    const std::span<float> theta_buf =
-        round_arena_.alloc(global_model_->parameter_count());
-    global_model_->flatten_parameters_into(theta_buf);
-    const std::span<const float> theta = theta_buf;
-    std::map<std::uint64_t, std::optional<ModelBroadcastMsg>> delta_cache;
-    const auto redriven = pending_uploads_.find(r);
-    for (std::uint32_t i = 0; i < topology_.workers; ++i) {
-      if (dead_workers_.count(i) != 0) continue;
-      last_seen_[i] = train_start;
-      if (redriven != pending_uploads_.end() &&
-          redriven->second.count(i) != 0) {
-        continue;
-      }
-      try {
-        traced_send(*endpoint_, tracer_, topology_.worker_key(i),
-                    MessageType::kModelBroadcast,
-                    broadcast_for(i, broadcast, theta, delta_cache), r);
-      } catch (const std::exception& e) {
-        util::log_warn() << "net: broadcast to worker " << i
-                         << " failed: " << e.what();
-      }
-    }
-    note_phase(tracer_, metrics.phase_broadcast_ms, "broadcast", r,
-               train_start);
-    const bool any_delta_peer = std::any_of(
-        peer_broadcast_codec_.begin(), peer_broadcast_codec_.end(),
-        [](const auto& kv) { return kv.second == fl::Codec::kDelta; });
-    if (any_delta_peer) {
-      broadcast_history_[r].assign(theta.begin(), theta.end());
-      constexpr std::size_t kHistoryDepth = 8;
-      while (broadcast_history_.size() > kHistoryDepth) {
-        broadcast_history_.erase(broadcast_history_.begin());
-      }
-    }
+    broadcast_round(r, train_start);
 
     // Collect uploads (the networked analogue of local_train + channel).
     const auto collect_start = std::chrono::steady_clock::now();
-    std::map<std::uint32_t, GradientUploadMsg> slots;
-    collect_uploads(r, slots, collect_start + config_.timeouts.phase);
+    collect_uploads(r, collect_start + config_.timeouts.phase);
     if (stop_.load(std::memory_order_relaxed)) return;
     const double collect_ms = elapsed_ms(train_start);
     note_phase(tracer_, metrics.phase_collect_ms, "collect", r, collect_start);
+    if (!quorum_gate(r, pending_uploads_[r].size())) return;
 
-    // Quorum gate: proceed on a partial roster, abort below the floor.
-    const std::size_t counted = slots.size();
-    const std::size_t live =
-        topology_.workers - std::min<std::size_t>(dead_workers_.size(),
-                                                  topology_.workers);
-    if (counted < quorum_min) {
-      if (config_.failover) {
-        // Losing the worker quorum under failover means *this* server is
-        // likely the partitioned side, not the workers: demote to
-        // follower instead of killing the run, give the uploads back to
-        // the buffer (a successor re-drives r from them), and forget
-        // every liveness judgment made while partitioned. The mute keeps
-        // a truly isolated ex-executor from proposing elections into the
-        // void; any received envelope lifts it.
-        util::log_warn() << "net: server " << endpoint_->address()
-                         << " lost the worker quorum for round " << r << " ("
-                         << counted << " of " << topology_.workers
-                         << "), stepping down as executor";
-        for (auto& [worker, msg] : slots) {
-          pending_uploads_[r][worker] = std::move(msg);
-        }
-        dead_workers_.clear();
-        revive_pending_.clear();
-        last_seen_.clear();
-        acked_round_.clear();
-        executor_index_ = kUnknownExecutor;
-        election_muted_ = true;
-        return;
-      }
-      // Abort path: capture the last K events of every node before the
-      // exception unwinds the cluster.
-      tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer, 0,
-                   r, counted);
-      obs::FlightRegistry::global().dump("quorum_abort");
-      throw std::runtime_error(
-          "lead: round " + std::to_string(r) + " below quorum (" +
-          std::to_string(counted) + " of " + std::to_string(topology_.workers) +
-          " uploads, quorum " + std::to_string(quorum_min) + ")");
-    }
-    if (counted < topology_.workers) {
-      metrics.rounds_degraded->inc();
-      tracer_.note(obs::FlightEventKind::kDegradedRound, obs::kNoFlightPeer, 0,
-                   r, counted);
-      util::log_warn() << "net: round " << r << " degraded: " << counted
-                       << " of " << topology_.workers << " uploads counted";
-    }
-
-    // Publish the counted set so every follower replica feeds its engine
-    // the same inputs this one is about to see. The summary also names
-    // the next round's executor: under rotation the next live server,
-    // otherwise this one (the field doubles as the "who is the lead right
-    // now" signal rejoining nodes re-home on).
+    // The summary names the next round's executor: under rotation the
+    // next live server, otherwise this one (the field doubles as the "who
+    // is the lead right now" signal rejoining nodes re-home on).
     const std::uint32_t next_executor =
         (config_.rotate_executor && r + 1 < config_.rounds)
             ? next_live_server(self)
             : self;
-    RoundSummaryMsg summary;
-    summary.round = r;
-    summary.degraded = counted < topology_.workers ? 1 : 0;
-    summary.next_executor = next_executor;
-    summary.counted.reserve(counted);
-    for (const auto& [worker, msg] : slots) summary.counted.push_back(worker);
     const auto assess_start = std::chrono::steady_clock::now();
-    send_to_other_servers(MessageType::kRoundSummary, summary, r);
+    const std::vector<GradientUploadMsg> msgs =
+        publish_summary(r, next_executor);
 
-    std::vector<GradientUploadMsg> msgs;
-    msgs.reserve(slots.size());
-    for (auto& [worker, msg] : slots) msgs.push_back(std::move(msg));
+    // Full pipeline on the executor's replica; followers re-derive the
+    // same sealed block and endorse it with signed votes — the executor
+    // never ships a bare "trust me".
     canonicalize_uploads_into(msgs, topology_.workers, upload_scratch_);
     const std::vector<fl::Upload>& uploads = upload_scratch_;
-
-    // Full pipeline on the executor's replica.
     const core::RoundReport report = engine_->process_round(uploads);
-
-    if (replicated_) {
-      // The engine just sealed block r; propose it. Followers re-derive
-      // the same block from their own replica state and answer with
-      // signed endorsements — the executor never ships a bare "trust me".
-      const chain::SealedBlockHeader& sealed = replicated_->propose(r);
-      BlockProposalMsg proposal;
-      proposal.round = r;
-      proposal.block_index = sealed.header.index;
-      proposal.previous_hash = sealed.header.previous_hash;
-      proposal.merkle_root = sealed.header.merkle_root;
-      proposal.block_hash = sealed.header.block_hash;
-      proposal.executor_sig = sealed.executor_sig;
-      proposal.records = engine_->ledger().block(r).records;
-      send_to_other_servers(MessageType::kBlockProposal, proposal, r);
-      drain_pending_votes(r);
-    }
-
-    // Gather the follower slices and check every complete one bitwise
-    // against this replica's result: divergence on a complete slice means
-    // the deterministic-replica invariant broke, which would silently
-    // fork the federation. A missing or incomplete slice is a tolerated
-    // crash-fault gap (net.slice_gaps), not divergence; known-dead
-    // servers are not waited for and not counted as gaps.
-    const auto slice_deadline =
-        std::chrono::steady_clock::now() + config_.timeouts.phase;
-    while (pending_slices_[r].size() + 1 + dead_servers_.size() <
-               topology_.servers &&
-           !stop_.load(std::memory_order_relaxed)) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          slice_deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) break;
-      auto env = endpoint_->recv(left);
-      if (!env) continue;
-      if (env->type == MessageType::kGradientUpload) {
-        const auto handle_start = std::chrono::steady_clock::now();
-        lead_handle_upload(decode_payload<GradientUploadMsg>(env->payload), r,
-                           nullptr);
-        note_handled(tracer_, *env, handle_start);
-      } else {
-        handle_control(*env);
-      }
-    }
-    for (std::uint32_t j = 0; j < topology_.servers; ++j) {
-      if (j == self || dead_servers_.count(j) != 0) continue;
-      const auto slice_it = pending_slices_[r].find(j);
-      if (slice_it == pending_slices_[r].end()) {
-        metrics.slice_gaps->inc();
-        util::log_warn() << "net: no slice from server " << j << " for round "
-                         << r;
-        continue;
-      }
-      const SliceAggregateMsg& slice = slice_it->second;
-      if (slice.complete == 0) {
-        metrics.slice_gaps->inc();
-        util::log_warn() << "net: server " << j
-                         << " could not reproduce round " << r
-                         << " (incomplete slice)";
-        continue;
-      }
-      const std::span<const float> own =
-          engine_->plan().slice(report.global_gradient, j);
-      if (slice.offset != engine_->plan().offset(j) ||
-          slice.values.size() != own.size() ||
-          !std::equal(own.begin(), own.end(), slice.values.begin())) {
-        // Byzantine (or broken-replica) divergence: dump every node's
-        // recent events before aborting, so the postmortem shows what
-        // each replica saw leading up to the mismatched slice.
-        tracer_.note(obs::FlightEventKind::kDivergence,
-                     topology_.server_key(j),
-                     static_cast<std::uint8_t>(MessageType::kSliceAggregate),
-                     r);
-        obs::FlightRegistry::global().dump("byzantine_divergence");
-        throw std::runtime_error("lead: server " + std::to_string(j) +
-                                 " diverged from the replicated engine on round " +
-                                 std::to_string(r));
-      }
-    }
-    pending_slices_.erase(r);
-
-    if (replicated_ && !replicated_->committed(r)) {
-      // Block r must reach endorsement quorum before the round's effects
-      // (θ update, assessment) are published — a below-quorum ledger means
-      // the audit trail is no longer replicated enough to be trusted.
-      const auto commit_start = std::chrono::steady_clock::now();
-      if (!await_ledger_commit(r)) return;  // demoted: a successor re-drives r
-      if (stop_.load(std::memory_order_relaxed)) return;
-      note_phase(tracer_, metrics.phase_ledger_commit_ms, "ledger_commit", r,
-                 commit_start);
+    if (replicated_) propose_block(r);
+    verify_slices(r, report);
+    if (replicated_ && !replicated_->committed(r) && !await_ledger_commit(r)) {
+      return;  // demoted (a successor re-drives r) or stopped
     }
 
     // θ ← θ − η·G̃ — identical float ops to Simulator::apply_round because
@@ -1176,82 +967,9 @@ void ServerNode::run_executor() {
     fl::apply_gradient_step(*global_model_, report.global_gradient,
                             config_.global_learning_rate);
     theta_round_ = r + 1;
-
-    // Publish the assessment + this round's sealed audit records.
-    AssessmentResultMsg assessment;
-    assessment.round = r;
-    assessment.degraded = report.degraded ? 1 : 0;
-    assessment.fairness = report.fairness;
-    assessment.workers.reserve(topology_.workers);
-    for (std::uint32_t i = 0; i < topology_.workers; ++i) {
-      WorkerAssessment wa;
-      wa.worker = i;
-      wa.arrived = uploads[i].arrived ? 1 : 0;
-      wa.accepted = report.detection.accepted[i] ? 1 : 0;
-      wa.uncertain = report.detection.uncertain[i] ? 1 : 0;
-      wa.score = report.detection.scores[i];
-      wa.reputation = report.reputations[i];
-      wa.contribution = report.contribution.contributions[i];
-      wa.reward = report.rewards[i];
-      assessment.workers.push_back(wa);
-    }
-    assessment.records = engine_->ledger().query(std::nullopt, r, std::nullopt);
-    for (std::uint32_t i = 0; i < topology_.workers; ++i) {
-      if (dead_workers_.count(i) != 0) continue;
-      try {
-        traced_send(*endpoint_, tracer_, topology_.worker_key(i),
-                    MessageType::kAssessmentResult, assessment, r);
-      } catch (const std::exception& e) {
-        util::log_warn() << "net: assessment to worker " << i
-                         << " failed: " << e.what();
-      }
-    }
+    publish_assessment(r, report, uploads);
     note_phase(tracer_, metrics.phase_assess_ms, "assess", r, assess_start);
-
-    // Round bookkeeping: result row, trace, callback.
-    NetRoundResult result;
-    result.round = r;
-    // θ changed at the apply step above, so stage the updated parameters
-    // in a second arena span (the broadcast span from the round's start
-    // stays valid — the arena only rewinds at the next reset()).
-    const std::span<float> theta_next =
-        round_arena_.alloc(global_model_->parameter_count());
-    global_model_->flatten_parameters_into(theta_next);
-    result.model_hash = parameter_hash(theta_next);
-    result.degraded = report.degraded;
-    result.fairness = report.fairness;
-    result.reputations = report.reputations;
-    result.rewards = report.rewards;
-    result.counted = counted;
-    result.live_workers = live;
-    result.arrived.reserve(uploads.size());
-    for (const fl::Upload& u : uploads) {
-      result.arrived.push_back(u.arrived ? 1 : 0);
-    }
-    core::RoundRecord record;
-    core::summarize_report(report, uploads, record);
-    result.accepted = record.accepted;
-    result.rejected = record.rejected;
-    result.uncertain = record.uncertain;
-
-    if (recorder->enabled()) {
-      obs::RoundTrace trace = core::make_round_trace(r, report, uploads);
-      // The broadcast->collect window plays the role of local_train +
-      // channel; the wire has no separate channel phase.
-      trace.phases.local_train_ms = collect_ms;
-      trace.phases.channel_ms = 0.0;
-      trace.phases.detect_ms = report.detect_ms;
-      trace.phases.aggregate_ms = report.aggregate_ms;
-      trace.phases.ledger_ms = report.ledger_ms;
-      trace.net = net_before.delta_since();
-      trace.has_net = true;
-      recorder->record(trace);
-    }
-    if (round_callback_) {
-      round_callback_(result, theta_next);
-    }
-    results_.push_back(std::move(result));
-
+    record_round(r, report, uploads, msgs.size(), collect_ms, net_before);
     next_round_ = r + 1;
 
     // Rotation handoff: the summary already named the successor; this
@@ -1269,27 +987,282 @@ void ServerNode::run_executor() {
   done_ = true;
 
   // Dissolve the federation (dead workers already exited on their own).
-  for (std::uint32_t i = 0; i < topology_.workers; ++i) {
-    if (dead_workers_.count(i) != 0) continue;
-    try {
-      endpoint_->send_msg(topology_.worker_key(i), MessageType::kLeave,
-                          LeaveMsg{endpoint_->address(), "training complete"});
-    } catch (const std::exception&) {
-      // A worker that already dropped its connection is fine to skip.
+  for (NodeKey node = 0; node < topology_.workers + topology_.servers;
+       ++node) {
+    if (node == endpoint_->address() || dead_workers_.count(node) != 0) {
+      continue;
     }
-  }
-  for (std::uint32_t j = 0; j < topology_.servers; ++j) {
-    if (j == config_.server_index) continue;
     try {
-      endpoint_->send_msg(topology_.server_key(j), MessageType::kLeave,
+      endpoint_->send_msg(node, MessageType::kLeave,
                           LeaveMsg{endpoint_->address(), "training complete"});
     } catch (const std::exception&) {
+      // A node that already dropped its connection is fine to skip.
     }
   }
 }
 
-void ServerNode::run_follower() {
+void ServerNode::broadcast_round(std::uint64_t r,
+                                 std::chrono::steady_clock::time_point start) {
+  // Re-home workers that spoke again after being declared dead: they
+  // rejoin the roster exactly at a broadcast, so they catch up from the
+  // current θ and never land mid-round without a model.
+  for (NodeKey worker : revive_pending_) {
+    if (dead_workers_.erase(worker) != 0) {
+      util::log_info() << "net: worker " << worker << " rejoined for round "
+                       << r;
+    }
+  }
+  revive_pending_.clear();
+
+  // Broadcast θ_t to the live roster; every live worker's liveness
+  // window restarts here so a long collect cannot starve it. Workers
+  // that negotiated kDelta get a sparse update against the last θ they
+  // acknowledged when that beats the dense checkpoint. Workers whose
+  // upload for r is already buffered (this executor took over a round
+  // the old one had broadcast) are skipped — they trained this round
+  // and a duplicate broadcast would only cost a cached re-upload.
+  ModelBroadcastMsg broadcast;
+  broadcast.round = r;
+  broadcast.checkpoint =
+      nn::checkpoint_bytes(*global_model_, "round-" + std::to_string(r));
+  round_arena_.reset();
+  const std::span<float> theta_buf =
+      round_arena_.alloc(global_model_->parameter_count());
+  global_model_->flatten_parameters_into(theta_buf);
+  const std::span<const float> theta = theta_buf;
+  std::map<std::uint64_t, std::optional<ModelBroadcastMsg>> delta_cache;
+  const auto redriven = pending_uploads_.find(r);
+  for (std::uint32_t i = 0; i < topology_.workers; ++i) {
+    if (dead_workers_.count(i) != 0) continue;
+    last_seen_[i] = start;
+    if (redriven != pending_uploads_.end() &&
+        redriven->second.count(i) != 0) {
+      continue;
+    }
+    send_or_log(*endpoint_, tracer_, topology_.worker_key(i),
+                MessageType::kModelBroadcast,
+                broadcast_for(i, broadcast, theta, delta_cache), r);
+  }
+  note_phase(tracer_, NetMetrics::global().phase_broadcast_ms, "broadcast", r,
+             start);
+  const bool any_delta_peer = std::any_of(
+      peer_broadcast_codec_.begin(), peer_broadcast_codec_.end(),
+      [](const auto& kv) { return kv.second == fl::Codec::kDelta; });
+  if (any_delta_peer) {
+    broadcast_history_[r].assign(theta.begin(), theta.end());
+    constexpr std::size_t kHistoryDepth = 8;
+    while (broadcast_history_.size() > kHistoryDepth) {
+      broadcast_history_.erase(broadcast_history_.begin());
+    }
+  }
+}
+
+std::vector<GradientUploadMsg> ServerNode::publish_summary(
+    std::uint64_t r, std::uint32_t next_executor) {
+  // Publish the counted set so every follower replica feeds its engine the
+  // same inputs this one is about to see.
+  RoundSummaryMsg summary;
+  summary.round = r;
+  summary.next_executor = next_executor;
+  std::vector<GradientUploadMsg> msgs;
+  for (auto& [worker, msg] : pending_uploads_[r]) {
+    summary.counted.push_back(worker);
+    msgs.push_back(std::move(msg));
+  }
+  pending_uploads_.erase(r);
+  summary.degraded = msgs.size() < topology_.workers ? 1 : 0;
+  send_to_other_servers(MessageType::kRoundSummary, summary, r);
+  return msgs;
+}
+
+void ServerNode::publish_assessment(std::uint64_t r,
+                                    const core::RoundReport& report,
+                                    const std::vector<fl::Upload>& uploads) {
+  // Every worker's verdict plus this round's sealed audit records.
+  AssessmentResultMsg assessment;
+  assessment.round = r;
+  assessment.degraded = report.degraded ? 1 : 0;
+  assessment.fairness = report.fairness;
+  assessment.workers.reserve(topology_.workers);
+  for (std::uint32_t i = 0; i < topology_.workers; ++i) {
+    WorkerAssessment wa;
+    wa.worker = i;
+    wa.arrived = uploads[i].arrived ? 1 : 0;
+    wa.accepted = report.detection.accepted[i] ? 1 : 0;
+    wa.uncertain = report.detection.uncertain[i] ? 1 : 0;
+    wa.score = report.detection.scores[i];
+    wa.reputation = report.reputations[i];
+    wa.contribution = report.contribution.contributions[i];
+    wa.reward = report.rewards[i];
+    assessment.workers.push_back(wa);
+  }
+  assessment.records = engine_->ledger().query(std::nullopt, r, std::nullopt);
+  for (std::uint32_t i = 0; i < topology_.workers; ++i) {
+    if (dead_workers_.count(i) != 0) continue;
+    send_or_log(*endpoint_, tracer_, topology_.worker_key(i),
+                MessageType::kAssessmentResult, assessment, r);
+  }
+}
+
+void ServerNode::record_round(std::uint64_t r, const core::RoundReport& report,
+                              const std::vector<fl::Upload>& uploads,
+                              std::size_t counted, double collect_ms,
+                              const CounterSnapshot& net_before) {
+  NetRoundResult result;
+  result.round = r;
+  // θ changed at the apply step, so stage the updated parameters in a
+  // second arena span (the broadcast span stays valid until the next
+  // reset()).
+  const std::span<float> theta_next =
+      round_arena_.alloc(global_model_->parameter_count());
+  global_model_->flatten_parameters_into(theta_next);
+  result.model_hash = parameter_hash(theta_next);
+  result.degraded = report.degraded;
+  result.fairness = report.fairness;
+  result.reputations = report.reputations;
+  result.rewards = report.rewards;
+  result.counted = counted;
+  result.live_workers =
+      topology_.workers -
+      std::min<std::size_t>(dead_workers_.size(), topology_.workers);
+  result.arrived.reserve(uploads.size());
+  for (const fl::Upload& u : uploads) {
+    result.arrived.push_back(u.arrived ? 1 : 0);
+  }
+  core::RoundRecord record;
+  core::summarize_report(report, uploads, record);
+  result.accepted = record.accepted;
+  result.rejected = record.rejected;
+  result.uncertain = record.uncertain;
+
+  obs::RoundTraceRecorder* recorder =
+      trace_recorder_ ? trace_recorder_ : &obs::RoundTraceRecorder::global();
+  if (recorder->enabled()) {
+    obs::RoundTrace trace = core::make_round_trace(r, report, uploads);
+    // The broadcast->collect window plays the role of local_train +
+    // channel; the wire has no separate channel phase.
+    trace.phases.local_train_ms = collect_ms;
+    trace.phases.channel_ms = 0.0;
+    trace.phases.detect_ms = report.detect_ms;
+    trace.phases.aggregate_ms = report.aggregate_ms;
+    trace.phases.ledger_ms = report.ledger_ms;
+    trace.net = net_before.delta_since();
+    trace.has_net = true;
+    recorder->record(trace);
+  }
+  if (round_callback_) round_callback_(result, theta_next);
+  results_.push_back(std::move(result));
+}
+
+bool ServerNode::quorum_gate(std::uint64_t r, std::size_t counted) {
+  const std::size_t quorum_min = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(config_.quorum.min_fraction *
+                                            topology_.workers)));
+  if (counted < quorum_min) {
+    if (config_.failover) {
+      // Losing the worker quorum under failover means *this* server is
+      // likely the partitioned side, not the workers: demote to follower
+      // instead of killing the run. The counted uploads stay buffered (a
+      // successor re-drives r from them).
+      util::log_warn() << "net: server " << endpoint_->address()
+                       << " lost the worker quorum for round " << r << " ("
+                       << counted << " of " << topology_.workers
+                       << "), stepping down as executor";
+      step_down();
+      return false;
+    }
+    // Abort path: capture the last K events of every node before the
+    // exception unwinds the cluster.
+    tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer, 0,
+                 r, counted);
+    obs::FlightRegistry::global().dump("quorum_abort");
+    throw std::runtime_error(
+        "lead: round " + std::to_string(r) + " below quorum (" +
+        std::to_string(counted) + " of " + std::to_string(topology_.workers) +
+        " uploads, quorum " + std::to_string(quorum_min) + ")");
+  }
+  if (counted < topology_.workers) {
+    NetMetrics::global().rounds_degraded->inc();
+    tracer_.note(obs::FlightEventKind::kDegradedRound, obs::kNoFlightPeer, 0,
+                 r, counted);
+    util::log_warn() << "net: round " << r << " degraded: " << counted
+                     << " of " << topology_.workers << " uploads counted";
+  }
+  return true;
+}
+
+void ServerNode::step_down() {
+  // Forget every liveness judgment made while (possibly) partitioned, and
+  // mute elections: a truly isolated ex-executor must not propose into
+  // the void. Any received envelope lifts the mute.
+  dead_workers_.clear();
+  revive_pending_.clear();
+  last_seen_.clear();
+  acked_round_.clear();
+  executor_index_ = kUnknownExecutor;
+  election_muted_ = true;
+}
+
+void ServerNode::propose_block(std::uint64_t b) {
+  const chain::SealedBlockHeader& sealed = replicated_->propose(b);
+  BlockProposalMsg proposal;
+  proposal.round = b;
+  proposal.block_index = sealed.header.index;
+  proposal.previous_hash = sealed.header.previous_hash;
+  proposal.merkle_root = sealed.header.merkle_root;
+  proposal.block_hash = sealed.header.block_hash;
+  proposal.executor_sig = sealed.executor_sig;
+  proposal.records = engine_->ledger().block(b).records;
+  send_to_other_servers(MessageType::kBlockProposal, proposal, b);
+  drain_pending_votes(b);
+}
+
+void ServerNode::verify_slices(std::uint64_t r,
+                               const core::RoundReport& report) {
   auto& metrics = NetMetrics::global();
+  wait_until(std::chrono::steady_clock::now() + config_.timeouts.phase, [&] {
+    return pending_slices_[r].size() + 1 + dead_servers_.size() >=
+           topology_.servers;
+  });
+  for (std::uint32_t j = 0; j < topology_.servers; ++j) {
+    if (j == config_.server_index || dead_servers_.count(j) != 0) continue;
+    const auto slice_it = pending_slices_[r].find(j);
+    if (slice_it == pending_slices_[r].end()) {
+      metrics.slice_gaps->inc();
+      util::log_warn() << "net: no slice from server " << j << " for round "
+                       << r;
+      continue;
+    }
+    const SliceAggregateMsg& slice = slice_it->second;
+    if (slice.complete == 0) {
+      metrics.slice_gaps->inc();
+      util::log_warn() << "net: server " << j
+                       << " could not reproduce round " << r
+                       << " (incomplete slice)";
+      continue;
+    }
+    const std::span<const float> own =
+        engine_->plan().slice(report.global_gradient, j);
+    if (slice.offset != engine_->plan().offset(j) ||
+        slice.values.size() != own.size() ||
+        !std::equal(own.begin(), own.end(), slice.values.begin())) {
+      // Byzantine (or broken-replica) divergence: dump every node's
+      // recent events before aborting, so the postmortem shows what
+      // each replica saw leading up to the mismatched slice.
+      tracer_.note(obs::FlightEventKind::kDivergence,
+                   topology_.server_key(j),
+                   static_cast<std::uint8_t>(MessageType::kSliceAggregate),
+                   r);
+      obs::FlightRegistry::global().dump("byzantine_divergence");
+      throw std::runtime_error("lead: server " + std::to_string(j) +
+                               " diverged from the replicated engine on round " +
+                               std::to_string(r));
+    }
+  }
+  pending_slices_.erase(r);
+}
+
+void ServerNode::run_follower() {
   // A degraded round legitimately silences this link for a full phase
   // (the executor waiting out its collect deadline) and, when our slice
   // was lost, a second one (the slice wait) — so only three phases of
@@ -1303,11 +1276,6 @@ void ServerNode::run_follower() {
   // slowest degraded round without false-firing the election.
   const auto progress_budget =
       2 * config_.timeouts.phase + config_.timeouts.liveness;
-  // With a runtime executor role the follower must wake often enough to
-  // run the progress check; without one the old one-phase nap is cheaper.
-  const auto recv_wait = (config_.failover || config_.rotate_executor)
-                             ? config_.timeouts.heartbeat
-                             : config_.timeouts.phase;
   auto last_traffic = std::chrono::steady_clock::now();
   auto last_progress = last_traffic;
   while (!leave_received_ && !stop_.load(std::memory_order_relaxed)) {
@@ -1324,29 +1292,18 @@ void ServerNode::run_follower() {
       if (run_election()) return;
       last_progress = std::chrono::steady_clock::now();
     }
-    auto env = endpoint_->recv(recv_wait);
+    const auto env = step(config_.timeouts.heartbeat);
     if (!env) continue;
-    last_traffic = std::chrono::steady_clock::now();
+    last_traffic = last_recv_;
     if (election_muted_) {
       // The federation is talking to us again: the demotion-era silence
       // is over, re-arm the election clock from scratch.
       election_muted_ = false;
       last_progress = last_traffic;
     }
-    if (env->type == MessageType::kGradientUpload) {
-      auto msg = decode_payload<GradientUploadMsg>(env->payload);
-      if (msg.round >= next_round_) {
-        pending_uploads_[msg.round][msg.worker] = std::move(msg);
-      } else {
-        metrics.late_uploads->inc();
-      }
-      note_handled(tracer_, *env, last_traffic);
-    } else {
-      if (env->type == MessageType::kRoundSummary ||
-          env->type == MessageType::kBlockProposal) {
-        last_progress = last_traffic;  // the executor is making progress
-      }
-      handle_control(*env);
+    if (env->type == MessageType::kRoundSummary ||
+        env->type == MessageType::kBlockProposal) {
+      last_progress = last_traffic;  // the executor is making progress
     }
     // Run every round whose summary has arrived, strictly in order.
     while (!pending_summaries_.empty() && !leave_received_ &&
@@ -1419,6 +1376,18 @@ void ServerNode::run_follower() {
 }
 
 void ServerNode::follower_vote_on_proposals() {
+  // Votes go to every server, not just the executor: each replica folds
+  // the whole federation's endorsements into its own certificate, so any
+  // survivor can serve proofs and chain syncs.
+  const auto send_vote = [this](const BlockProposalMsg& proposal,
+                                const chain::Signature& vote) {
+    BlockVoteMsg out;
+    out.round = proposal.round;
+    out.block_index = proposal.block_index;
+    out.block_hash = proposal.block_hash;
+    out.vote = vote;
+    send_to_other_servers(MessageType::kBlockVote, out, proposal.round);
+  };
   while (!pending_proposals_.empty()) {
     const auto it = pending_proposals_.begin();
     if (diverged_) {
@@ -1440,13 +1409,9 @@ void ServerNode::follower_vote_on_proposals() {
       const chain::SealedBlockHeader* own =
           replicated_->sealed(proposal.block_index);
       if (own != nullptr && own->header.block_hash == proposal.block_hash) {
-        BlockVoteMsg out;
-        out.round = proposal.round;
-        out.block_index = proposal.block_index;
-        out.block_hash = proposal.block_hash;
-        out.vote = replicated_->registry().sign(
-            replicated_->self(), proposal.header().canonical_payload());
-        send_to_other_servers(MessageType::kBlockVote, out, proposal.round);
+        send_vote(proposal, replicated_->registry().sign(
+                                replicated_->self(),
+                                proposal.header().canonical_payload()));
       }
       continue;
     }
@@ -1470,15 +1435,7 @@ void ServerNode::follower_vote_on_proposals() {
           ": proposed block " + std::to_string(proposal.block_index) +
           " contradicts the local replica ledger (fork)");
     }
-    BlockVoteMsg out;
-    out.round = proposal.round;
-    out.block_index = proposal.block_index;
-    out.block_hash = proposal.block_hash;
-    out.vote = *vote;
-    // Votes go to every server, not just the executor: each replica folds
-    // the whole federation's endorsements into its own certificate, so
-    // any survivor can serve proofs and chain syncs.
-    send_to_other_servers(MessageType::kBlockVote, out, proposal.round);
+    send_vote(proposal, *vote);
     drain_pending_votes(proposal.block_index);
   }
 }
@@ -1516,63 +1473,42 @@ void ServerNode::drain_pending_votes(std::uint64_t block_index) {
 }
 
 bool ServerNode::await_ledger_commit(std::uint64_t r) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.phase;
-  while (!replicated_->committed(r) &&
-         !stop_.load(std::memory_order_relaxed)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      const chain::SealedBlockHeader* sealed = replicated_->sealed(r);
-      const std::uint64_t votes =
-          sealed ? 1 + sealed->votes.size() : 0;  // executor counts itself
-      if (config_.failover) {
-        // No votes arrived within the phase: this executor is the cut-off
-        // side (crashed transport, partition) — the followers already hold
-        // the round summary and will elect a successor to re-drive r.
-        // Step down instead of killing the run. The engine here is one
-        // round ahead of the committed chain (block r sealed but
-        // unendorsed), so mark the replica diverged: rejoin-by-replay
-        // heals it if connectivity returns. Mirrors the worker-quorum
-        // demote above, including forgetting partition-tainted liveness
-        // judgments and muting elections until an envelope proves the
-        // network is back.
-        util::log_warn() << "net: server " << endpoint_->address()
-                         << " ledger commit for round " << r
-                         << " below quorum (" << votes << " of "
-                         << replicated_->quorum()
-                         << " endorsements), stepping down as executor";
-        diverged_ = true;
-        dead_workers_.clear();
-        revive_pending_.clear();
-        last_seen_.clear();
-        acked_round_.clear();
-        executor_index_ = kUnknownExecutor;
-        election_muted_ = true;
-        return false;
-      }
-      tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer,
-                   static_cast<std::uint8_t>(MessageType::kBlockVote), r,
-                   votes);
-      obs::FlightRegistry::global().dump("quorum_abort");
-      throw std::runtime_error(
-          "server " + std::to_string(endpoint_->address()) + ": round " +
-          std::to_string(r) + " ledger commit below quorum (" +
-          std::to_string(votes) + " of " +
-          std::to_string(replicated_->quorum()) + " endorsements)");
-    }
-    auto env = endpoint_->recv(left);
-    if (!env) continue;
-    if (env->type == MessageType::kGradientUpload) {
-      const auto handle_start = std::chrono::steady_clock::now();
-      lead_handle_upload(decode_payload<GradientUploadMsg>(env->payload), r,
-                         nullptr);
-      note_handled(tracer_, *env, handle_start);
-    } else {
-      handle_control(*env);
-    }
+  const auto start = std::chrono::steady_clock::now();
+  if (wait_until(start + config_.timeouts.phase,
+                 [&] { return replicated_->committed(r); })) {
+    note_phase(tracer_, NetMetrics::global().phase_ledger_commit_ms,
+               "ledger_commit", r, start);
+    return true;
   }
-  return true;
+  if (stop_.load(std::memory_order_relaxed)) return false;
+  const chain::SealedBlockHeader* sealed = replicated_->sealed(r);
+  const std::uint64_t votes =
+      sealed ? 1 + sealed->votes.size() : 0;  // executor counts itself
+  if (config_.failover) {
+    // No votes arrived within the phase: this executor is the cut-off
+    // side (crashed transport, partition) — the followers already hold
+    // the round summary and will elect a successor to re-drive r. Step
+    // down instead of killing the run. The engine here is one round ahead
+    // of the committed chain (block r sealed but unendorsed), so mark the
+    // replica diverged: rejoin-by-replay heals it if connectivity
+    // returns.
+    util::log_warn() << "net: server " << endpoint_->address()
+                     << " ledger commit for round " << r
+                     << " below quorum (" << votes << " of "
+                     << replicated_->quorum()
+                     << " endorsements), stepping down as executor";
+    diverged_ = true;
+    step_down();
+    return false;
+  }
+  tracer_.note(obs::FlightEventKind::kQuorumAbort, obs::kNoFlightPeer,
+               static_cast<std::uint8_t>(MessageType::kBlockVote), r, votes);
+  obs::FlightRegistry::global().dump("quorum_abort");
+  throw std::runtime_error(
+      "server " + std::to_string(endpoint_->address()) + ": round " +
+      std::to_string(r) + " ledger commit below quorum (" +
+      std::to_string(votes) + " of " +
+      std::to_string(replicated_->quorum()) + " endorsements)");
 }
 
 void ServerNode::process_summary(const RoundSummaryMsg& summary,
@@ -1584,32 +1520,15 @@ void ServerNode::process_summary(const RoundSummaryMsg& summary,
   if (complete) {
     // Grace-wait for counted uploads that are still in flight behind the
     // summary (the executor saw them; this replica's copies may be
-    // delayed).
-    const auto deadline =
-        std::chrono::steady_clock::now() + config_.timeouts.phase;
-    while (!leave_received_ && !stop_.load(std::memory_order_relaxed)) {
-      const auto& slots = pending_uploads_[r];
-      const bool missing =
-          std::any_of(summary.counted.begin(), summary.counted.end(),
-                      [&](std::uint32_t w) { return slots.count(w) == 0; });
-      if (!missing) break;
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        complete = false;
-        break;
-      }
-      auto env = endpoint_->recv(left);
-      if (!env) continue;
-      if (env->type == MessageType::kGradientUpload) {
-        auto msg = decode_payload<GradientUploadMsg>(env->payload);
-        if (msg.round >= r) {
-          pending_uploads_[msg.round][msg.worker] = std::move(msg);
-        }
-      } else {
-        handle_control(*env);  // later summaries buffer for the run loop
-      }
-    }
+    // delayed). Later summaries buffer for the run loop meanwhile.
+    complete = wait_until(
+        std::chrono::steady_clock::now() + config_.timeouts.phase, [&] {
+          const auto& slots = pending_uploads_[r];
+          return leave_received_ ||
+                 std::all_of(
+                     summary.counted.begin(), summary.counted.end(),
+                     [&](std::uint32_t w) { return slots.count(w) != 0; });
+        });
     if (leave_received_ || stop_.load(std::memory_order_relaxed)) return;
   }
 
@@ -1657,14 +1576,8 @@ void ServerNode::process_summary(const RoundSummaryMsg& summary,
     }
     out.complete = 0;
   }
-  try {
-    traced_send(*endpoint_, tracer_, executor, MessageType::kSliceAggregate,
-                out, r);
-  } catch (const std::exception& e) {
-    util::log_warn() << "net: server " << endpoint_->address()
-                     << " failed to send slice for round " << r << ": "
-                     << e.what();
-  }
+  send_or_log(*endpoint_, tracer_, executor, MessageType::kSliceAggregate, out,
+              r);
 }
 
 void ServerNode::note_broadcast_ack(NodeKey worker, std::uint64_t round) {
@@ -1715,14 +1628,8 @@ void ServerNode::send_to_other_servers(MessageType type, const Msg& msg,
                                        std::uint64_t round) {
   for (std::uint32_t j = 0; j < topology_.servers; ++j) {
     if (j == config_.server_index) continue;
-    try {
-      traced_send(*endpoint_, tracer_, topology_.server_key(j), type, msg,
-                  round);
-    } catch (const std::exception& e) {
-      util::log_warn() << "net: server " << endpoint_->address()
-                       << " failed to send " << message_type_name(type)
-                       << " to server " << j << ": " << e.what();
-    }
+    send_or_log(*endpoint_, tracer_, topology_.server_key(j), type, msg,
+                round);
   }
 }
 
@@ -1776,14 +1683,8 @@ void ServerNode::handle_view_change(const ViewChangeMsg& msg) {
   vote.head = committed_head();
   vote.sig =
       replicated_->registry().sign(replicated_->self(), vote.canonical_payload());
-  try {
-    traced_send(*endpoint_, tracer_,
-                topology_.server_key(msg.proposer_index),
-                MessageType::kViewChangeVote, vote, msg.round);
-  } catch (const std::exception& e) {
-    util::log_warn() << "net: server " << endpoint_->address()
-                     << " failed to answer a view change: " << e.what();
-  }
+  send_or_log(*endpoint_, tracer_, topology_.server_key(msg.proposer_index),
+              MessageType::kViewChangeVote, vote, msg.round);
   if (!granted) return;
   granted_view_ = msg.view;
   view_ = std::max(view_, msg.view);
@@ -1919,22 +1820,10 @@ bool ServerNode::run_election() {
       // restarts vote collection; the followers answer through the
       // committed-re-vote path if they already hold the block committed.
       const std::uint64_t blocks = engine_->ledger().block_count();
-      if (blocks > 0) {
-        for (std::uint64_t b = std::min<std::uint64_t>(
-                 replicated_->committed_count(), blocks - 1);
-             b < blocks; ++b) {
-          const chain::SealedBlockHeader& entry = replicated_->propose(b);
-          BlockProposalMsg proposal;
-          proposal.round = b;
-          proposal.block_index = entry.header.index;
-          proposal.previous_hash = entry.header.previous_hash;
-          proposal.merkle_root = entry.header.merkle_root;
-          proposal.block_hash = entry.header.block_hash;
-          proposal.executor_sig = entry.executor_sig;
-          proposal.records = engine_->ledger().block(b).records;
-          send_to_other_servers(MessageType::kBlockProposal, proposal, b);
-          drain_pending_votes(b);
-        }
+      for (std::uint64_t b = std::min<std::uint64_t>(
+               replicated_->committed_count(), blocks - 1);
+           b < blocks; ++b) {
+        propose_block(b);
       }
       next_round_ = engine_->round();
       return true;
@@ -1944,20 +1833,8 @@ bool ServerNode::run_election() {
     // abort must stop the others before their own deadlines.
     const auto left =
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    auto env = endpoint_->recv(std::min(left, config_.timeouts.heartbeat));
-    if (!env) continue;
-    if (env->type == MessageType::kGradientUpload) {
-      auto msg = decode_payload<GradientUploadMsg>(env->payload);
-      if (msg.round >= next_round_) {
-        pending_uploads_[msg.round][msg.worker] = std::move(msg);
-      } else {
-        metrics.late_uploads->inc();
-      }
-      note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      continue;
-    }
-    handle_control(*env);
-    if (env->type == MessageType::kRoundSummary &&
+    const auto env = step(std::min(left, config_.timeouts.heartbeat));
+    if (env && env->type == MessageType::kRoundSummary &&
         env->from >= topology_.workers) {
       // The "dead" executor spoke: it was slow, not gone. Stand down and
       // let run_follower process the summary.
@@ -1969,33 +1846,17 @@ bool ServerNode::run_election() {
 }
 
 bool ServerNode::await_handoff_commit(std::uint64_t r) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.timeouts.phase;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (replicated_->committed(r)) return true;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      util::log_warn() << "net: server " << endpoint_->address()
-                       << " handoff for round " << r
-                       << " timed out waiting for the block to commit";
-      return false;
-    }
-    auto env = endpoint_->recv(std::min(
-        left, std::chrono::duration_cast<std::chrono::milliseconds>(
-                  config_.timeouts.heartbeat)));
-    if (env) {
-      if (env->type == MessageType::kGradientUpload) {
-        auto msg = decode_payload<GradientUploadMsg>(env->payload);
-        if (msg.round >= next_round_) {
-          pending_uploads_[msg.round][msg.worker] = std::move(msg);
-        }
-        note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      } else {
-        handle_control(*env);
-      }
-    }
-    follower_vote_on_proposals();
+  if (wait_until(std::chrono::steady_clock::now() + config_.timeouts.phase,
+                 [&] {
+                   follower_vote_on_proposals();
+                   return replicated_->committed(r);
+                 })) {
+    return true;
+  }
+  if (!stop_.load(std::memory_order_relaxed)) {
+    util::log_warn() << "net: server " << endpoint_->address()
+                     << " handoff for round " << r
+                     << " timed out waiting for the block to commit";
   }
   return false;
 }
@@ -2011,25 +1872,24 @@ bool ServerNode::request_chain_sync(NodeKey target) {
   // hold sealed-but-uncertified blocks whose certificates the dead
   // executor never finished — re-fetching those heals the cert gap too.
   req.from_block = replicated_->committed_count();
-  try {
-    traced_send(*endpoint_, tracer_, target, MessageType::kChainSyncRequest,
-                req, next_round_);
-  } catch (const std::exception& e) {
-    util::log_warn() << "net: server " << endpoint_->address()
-                     << " failed to request a chain sync: " << e.what();
+  if (!send_or_log(*endpoint_, tracer_, target,
+                   MessageType::kChainSyncRequest, req, next_round_)) {
     return false;
   }
-  const auto deadline = now + config_.timeouts.phase;
+  sync_pending_ = true;
+  sync_response_.reset();
   auto next_resend = now + config_.timeouts.heartbeat;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const auto tick = std::chrono::steady_clock::now();
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - tick);
-    if (left.count() <= 0) {
-      util::log_warn() << "net: server " << endpoint_->address()
-                       << " chain sync from node " << target << " timed out";
-      return false;
+  wait_until(now + config_.timeouts.phase, [&] {
+    if (sync_response_) return true;
+    // Inbound traffic is the strongest signal the link just healed (a
+    // recovering node's first delivered message marks the instant its
+    // transport came back): pull the next re-send forward so the sync
+    // lands while the cluster is still running, not a heartbeat later.
+    if (last_recv_ > now) {
+      next_resend = std::min(next_resend,
+                             last_recv_ + std::chrono::milliseconds(1));
     }
+    const auto tick = std::chrono::steady_clock::now();
     if (tick >= next_resend) {
       // Re-fire the request at heartbeat cadence: over a lossy transport
       // (or one that was still swallowing this node's sends when the
@@ -2043,32 +1903,17 @@ bool ServerNode::request_chain_sync(NodeKey target) {
       } catch (const std::exception&) {
       }
     }
-    auto env = endpoint_->recv(std::min<std::chrono::milliseconds>(
-        left, std::chrono::duration_cast<std::chrono::milliseconds>(
-                  config_.timeouts.heartbeat)));
-    if (!env) continue;
-    // Inbound traffic is the strongest signal the link just healed (a
-    // recovering node's first delivered message marks the instant its
-    // transport came back): pull the next re-send forward so the sync
-    // lands while the cluster is still running, not a heartbeat later.
-    next_resend = std::min(next_resend, std::chrono::steady_clock::now() +
-                                            std::chrono::milliseconds(1));
-    if (env->type == MessageType::kChainSyncResponse) {
-      auto resp = decode_payload<ChainSyncResponseMsg>(env->payload);
-      note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      return apply_chain_sync(resp);
+    return false;
+  });
+  sync_pending_ = false;
+  if (!sync_response_) {
+    if (!stop_.load(std::memory_order_relaxed)) {
+      util::log_warn() << "net: server " << endpoint_->address()
+                       << " chain sync from node " << target << " timed out";
     }
-    if (env->type == MessageType::kGradientUpload) {
-      auto msg = decode_payload<GradientUploadMsg>(env->payload);
-      if (msg.round >= next_round_) {
-        pending_uploads_[msg.round][msg.worker] = std::move(msg);
-      }
-      note_handled(tracer_, *env, std::chrono::steady_clock::now());
-      continue;
-    }
-    handle_control(*env);
+    return false;
   }
-  return false;
+  return apply_chain_sync(*std::exchange(sync_response_, std::nullopt));
 }
 
 bool ServerNode::apply_chain_sync(const ChainSyncResponseMsg& resp) {
@@ -2149,13 +1994,8 @@ void ServerNode::serve_chain_sync(const ChainSyncRequestMsg& req,
       resp.theta = nn::checkpoint_bytes(*global_model_, "chain-sync");
     }
   }
-  try {
-    traced_send(*endpoint_, tracer_, from, MessageType::kChainSyncResponse,
-                resp, req.round);
-  } catch (const std::exception& e) {
-    util::log_warn() << "net: server " << endpoint_->address()
-                     << " failed to serve a chain sync: " << e.what();
-  }
+  send_or_log(*endpoint_, tracer_, from, MessageType::kChainSyncResponse, resp,
+              req.round);
 }
 
 }  // namespace fifl::net

@@ -364,26 +364,54 @@ class ServerNode {
   /// election resolves it.
   static constexpr std::uint32_t kUnknownExecutor = 0xffffffffu;
 
+  /// The one receive point: waits at most `wait` for one envelope and
+  /// dispatches it through handle_control. nullopt when the wait ran out.
+  std::optional<Envelope> step(std::chrono::milliseconds wait);
+  /// The bounded wait: steps (each at most min(time left, heartbeat))
+  /// until `done()` holds, the deadline passes, or the node stops. True
+  /// iff `done()` held.
+  template <typename Done>
+  bool wait_until(std::chrono::steady_clock::time_point deadline, Done done);
+  /// The one envelope handler, uploads included (see intake_upload).
+  void handle_control(const Envelope& envelope);
+  /// The upload intake rule of this node's role. Executor: into its slot
+  /// while the collect window is open, buffered for later rounds, a dead
+  /// worker's upload re-homes it. Follower: buffered for rounds
+  /// >= next_round_. Anything else counts in net.late_uploads.
+  void intake_upload(GradientUploadMsg msg);
   /// Server 0's join gate: waits for the full federation.
   void await_federation();
-  /// Follower join handshake with the bootstrap lead.
-  void join_federation();
   void run_executor();
   void run_follower();
-  /// Lead: waits until every live worker has a slot or the deadline
-  /// passes, echoing heartbeats, buffering slices, and pruning the roster
-  /// through the liveness window meanwhile.
+  /// Executor round phases, in order: re-home revived workers and fan θ_r
+  /// out; collect uploads into pending_uploads_[round] until every live
+  /// worker has one or the deadline passes (pruning the roster through
+  /// the liveness window meanwhile); gate on the worker quorum (false:
+  /// stepped down); publish the counted set (returning its uploads);
+  /// propose sealed block `b`; gather and check the follower slices
+  /// bitwise; fan the assessment out; record the result row, trace and
+  /// callback.
+  void broadcast_round(std::uint64_t r,
+                       std::chrono::steady_clock::time_point start);
   void collect_uploads(std::uint64_t round,
-                       std::map<std::uint32_t, GradientUploadMsg>& slots,
                        std::chrono::steady_clock::time_point deadline);
-  /// Lead: routes one inbound upload — slot / buffer-ahead / late / from a
-  /// dead worker. `slots` is null outside the collect window.
-  void lead_handle_upload(GradientUploadMsg msg, std::uint64_t round,
-                          std::map<std::uint32_t, GradientUploadMsg>* slots);
+  bool quorum_gate(std::uint64_t r, std::size_t counted);
+  std::vector<GradientUploadMsg> publish_summary(std::uint64_t r,
+                                                 std::uint32_t next_executor);
+  void propose_block(std::uint64_t b);
+  void verify_slices(std::uint64_t r, const core::RoundReport& report);
+  void publish_assessment(std::uint64_t r, const core::RoundReport& report,
+                          const std::vector<fl::Upload>& uploads);
+  struct CounterSnapshot;
+  void record_round(std::uint64_t r, const core::RoundReport& report,
+                    const std::vector<fl::Upload>& uploads,
+                    std::size_t counted, double collect_ms,
+                    const CounterSnapshot& net_before);
+  /// Executor -> follower after a lost worker or ledger quorum.
+  void step_down();
   /// Follower: runs (or refuses) one round against the executor's counted
   /// set; the slice answer goes back to `executor`.
   void process_summary(const RoundSummaryMsg& summary, NodeKey executor);
-  void handle_control(const Envelope& envelope);
   void note_worker_traffic(NodeKey from);
   /// Any server: verifies + folds one broadcast vote into the local
   /// certificate; votes racing ahead of this replica's own endorsement
@@ -396,10 +424,11 @@ class ServerNode {
   /// sealed and answers with a signed vote to every server; a mismatch is
   /// a ledger fork.
   void follower_vote_on_proposals();
-  /// Executor: drains votes until block `r` commits or the phase deadline
-  /// passes. Returns false when the deadline hit and failover demoted this
-  /// node to follower (the caller must abandon the round); without
-  /// failover the deadline is a deterministic abort.
+  /// Executor: waits until block `r` commits (noting the ledger_commit
+  /// phase) or the phase deadline passes. Returns false when the node
+  /// stopped or the deadline hit and failover demoted it to follower (the
+  /// caller must abandon the round); without failover the deadline is a
+  /// deterministic abort.
   bool await_ledger_commit(std::uint64_t r);
   /// Fan-out helper: sends `msg` to every other server (dead ones
   /// included — their inboxes are cheap and liveness is their problem).
@@ -447,8 +476,9 @@ class ServerNode {
   RoundCallback round_callback_;
   obs::RoundTraceRecorder* trace_recorder_ = nullptr;
   std::vector<NetRoundResult> results_;
-  /// Uploads buffered ahead of their round (a worker can race ahead of a
-  /// lagging follower), keyed by round then worker.
+  /// Uploads held by intake_upload, keyed by round then worker: the
+  /// executor's collect slots for round next_round_, and uploads buffered
+  /// ahead of their round (a worker can race ahead of a lagging follower).
   std::map<std::uint64_t, std::map<std::uint32_t, GradientUploadMsg>>
       pending_uploads_;
   /// Lead only: slices buffered by round then server index.
@@ -507,6 +537,13 @@ class ServerNode {
   std::map<std::uint64_t, std::vector<BlockVoteMsg>> pending_votes_;
   /// Rate limiter for ChainSyncRequest retries.
   std::chrono::steady_clock::time_point last_sync_request_{};
+  /// While request_chain_sync waits, the handler keeps the first response.
+  bool sync_pending_ = false;
+  std::optional<ChainSyncResponseMsg> sync_response_;
+  /// Executor: the collect window of round next_round_ is open.
+  bool collect_open_ = false;
+  /// When step() last received an envelope.
+  std::chrono::steady_clock::time_point last_recv_{};
   /// Replicated-ledger state (null unless config_.replicate_ledger).
   std::unique_ptr<chain::ReplicatedLedger> replicated_;
   /// Follower only: block proposals buffered until the local replica has

@@ -1,20 +1,10 @@
-// RAII wall-clock timing that feeds obs::Histogram. Two flavours:
-//
-//   ScopedTimer — times a scope into a histogram handle you already hold
-//   (the hot-path form: zero lookups, one steady_clock read at each end).
-//
-//   Span — named, nestable timing against a registry. Spans opened while
-//   another Span is live on the same thread record under the joined path
-//   ("round.detect" inside "round"), so one histogram per call-site
-//   emerges without manual plumbing. Path tracking is thread-local; spans
-//   on different threads do not nest into each other.
-//
-// Both record milliseconds, matching the *_ms histogram convention.
+// RAII wall-clock timing that feeds obs::Histogram: ScopedTimer times a
+// scope into a histogram handle you already hold (the hot-path form: zero
+// lookups, one steady_clock read at each end). It records milliseconds,
+// matching the *_ms histogram convention.
 #pragma once
 
 #include <chrono>
-#include <string>
-#include <string_view>
 
 #include "obs/metrics.hpp"
 
@@ -48,27 +38,6 @@ class ScopedTimer {
  private:
   using clock = std::chrono::steady_clock;
   Histogram* sink_;
-  clock::time_point start_;
-};
-
-class Span {
- public:
-  /// Opens a span named `name`; records into the histogram
-  /// "span.<outer>.<...>.<name>" of `registry` when destroyed.
-  explicit Span(std::string_view name,
-                MetricsRegistry& registry = MetricsRegistry::global());
-  ~Span();
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  const std::string& path() const noexcept { return path_; }
-  /// Dotted path of the innermost live span on this thread ("" if none).
-  static std::string current_path();
-
- private:
-  using clock = std::chrono::steady_clock;
-  MetricsRegistry* registry_;
-  std::string path_;  // full dotted path including this span's name
   clock::time_point start_;
 };
 

@@ -100,17 +100,13 @@ RoundTrace RoundTrace::from_jsonl(std::string_view line) {
     t.net.msgs_rx = static_cast<std::uint64_t>(net->at("msgs_rx").as_number());
     t.net.frame_errors =
         static_cast<std::uint64_t>(net->at("frame_errors").as_number());
-    // Newer degradation fields: tolerate traces from builds without them.
-    if (const JsonValue* v2 = net->find("late_uploads")) {
-      t.net.late_uploads = static_cast<std::uint64_t>(v2->as_number());
-    }
-    if (const JsonValue* v2 = net->find("send_retries")) {
-      t.net.send_retries = static_cast<std::uint64_t>(v2->as_number());
-    }
-    if (const JsonValue* v2 = net->find("dropped_workers")) {
-      t.net.dropped_workers = static_cast<std::uint64_t>(v2->as_number());
-    }
-    // Per-type byte maps (absent in traces from older builds).
+    t.net.late_uploads =
+        static_cast<std::uint64_t>(net->at("late_uploads").as_number());
+    t.net.send_retries =
+        static_cast<std::uint64_t>(net->at("send_retries").as_number());
+    t.net.dropped_workers =
+        static_cast<std::uint64_t>(net->at("dropped_workers").as_number());
+    // Per-type byte maps (to_jsonl omits an empty map).
     if (const JsonValue* v2 = net->find("bytes_tx_by_type")) {
       for (const auto& [name, val] : v2->object) {
         t.net.bytes_tx_by_type.emplace_back(

@@ -70,15 +70,14 @@ struct RoundTrace {
     std::uint64_t msgs_tx = 0;
     std::uint64_t msgs_rx = 0;
     std::uint64_t frame_errors = 0;
-    // Degradation deltas (absent in traces from older builds; decode
-    // treats them as 0).
+    // Degradation deltas.
     std::uint64_t late_uploads = 0;
     std::uint64_t send_retries = 0;
     std::uint64_t dropped_workers = 0;
     // Per-message-type byte deltas (counter name suffix -> bytes, e.g.
     // "gradient_upload" -> 12345), nonzero entries only, in wire-tag
     // order. Serialized as nested "bytes_tx_by_type"/"bytes_rx_by_type"
-    // objects; absent in traces from older builds (decode -> empty).
+    // objects, omitted when empty (decode -> empty).
     std::vector<std::pair<std::string, std::uint64_t>> bytes_tx_by_type;
     std::vector<std::pair<std::string, std::uint64_t>> bytes_rx_by_type;
   } net;

@@ -59,30 +59,6 @@ TEST(Messages, JoinAckRoundTrip) {
   expect_all_truncations_throw(msg);
 }
 
-/// Truncation property for a payload carrying the optional trailing
-/// feature extension: every strict prefix throws EXCEPT the exact
-/// legacy boundary (payload minus the 12-byte extension), which must
-/// decode as a legacy message — that prefix IS the legacy wire format.
-template <typename Msg>
-void expect_extension_truncations_throw(const Msg& msg) {
-  const auto payload = encode_payload(msg);
-  constexpr std::size_t kExtension = 12;  // u32 features + u64 clock_us
-  ASSERT_GT(payload.size(), kExtension);
-  const std::size_t boundary = payload.size() - kExtension;
-  for (std::size_t len = 0; len < payload.size(); ++len) {
-    if (len == boundary) {
-      const auto legacy =
-          decode_payload<Msg>(std::span(payload).first(len));
-      EXPECT_EQ(legacy.features, 0u);
-      EXPECT_EQ(legacy.clock_us, 0u);
-      continue;
-    }
-    EXPECT_THROW(decode_payload<Msg>(std::span(payload).first(len)),
-                 util::SerializeError)
-        << "prefix length " << len << " of " << payload.size();
-  }
-}
-
 TEST(Messages, JoinTraceFeatureExtensionRoundTrips) {
   JoinMsg msg{17, NodeRole::kWorker, fl::kAllCodecs};
   msg.features = kFeatureTrace;
@@ -90,22 +66,20 @@ TEST(Messages, JoinTraceFeatureExtensionRoundTrips) {
   const auto back = decode_payload<JoinMsg>(encode_payload(msg));
   EXPECT_EQ(back.features, kFeatureTrace);
   EXPECT_EQ(back.clock_us, 123456789ull);
-  expect_extension_truncations_throw(msg);
+  expect_all_truncations_throw(msg);
   expect_rejects_trailing_bytes(msg);
 }
 
-TEST(Messages, JoinWithoutFeaturesStaysLegacyByteIdentical) {
-  // features == 0 must encode exactly the pre-extension payload, so a
-  // tracing-aware node joining a legacy lead (or vice versa) still
-  // parses — the extension is negotiated, not assumed.
-  const JoinMsg legacy{17, NodeRole::kWorker, fl::kAllCodecs};
-  JoinMsg extended = legacy;
-  extended.features = 0;
-  extended.clock_us = 999;  // must NOT be encoded when features == 0
-  EXPECT_EQ(encode_payload(legacy), encode_payload(extended));
-  const auto back = decode_payload<JoinMsg>(encode_payload(legacy));
-  EXPECT_EQ(back.features, 0u);
-  EXPECT_EQ(back.clock_us, 0u);
+/// The feature/clock fields are part of every Join and JoinAck: a payload
+/// without them (the layout before tracing existed) is truncated.
+constexpr std::size_t kFeatureExtensionBytes = 12;  // u32 features + u64 clock
+
+TEST(Messages, JoinWithoutExtensionIsRejected) {
+  const auto payload =
+      encode_payload(JoinMsg{17, NodeRole::kWorker, fl::kAllCodecs});
+  EXPECT_THROW(decode_payload<JoinMsg>(std::span(payload).first(
+                   payload.size() - kFeatureExtensionBytes)),
+               util::SerializeError);
 }
 
 TEST(Messages, JoinAckTraceFeatureExtensionRoundTrips) {
@@ -115,17 +89,14 @@ TEST(Messages, JoinAckTraceFeatureExtensionRoundTrips) {
   const auto back = decode_payload<JoinAckMsg>(encode_payload(msg));
   EXPECT_EQ(back.features, kFeatureTrace);
   EXPECT_EQ(back.clock_us, 42424242ull);
-  expect_extension_truncations_throw(msg);
+  expect_all_truncations_throw(msg);
 }
 
-TEST(Messages, JoinAckWithoutFeaturesStaysLegacyByteIdentical) {
-  const JoinAckMsg legacy{3, 8, 2, 1210, 25};
-  JoinAckMsg extended = legacy;
-  extended.clock_us = 7;  // ignored: features == 0
-  EXPECT_EQ(encode_payload(legacy), encode_payload(extended));
-  const auto back = decode_payload<JoinAckMsg>(encode_payload(legacy));
-  EXPECT_EQ(back.features, 0u);
-  EXPECT_EQ(back.clock_us, 0u);
+TEST(Messages, JoinAckWithoutExtensionIsRejected) {
+  const auto payload = encode_payload(JoinAckMsg{3, 8, 2, 1210, 25});
+  EXPECT_THROW(decode_payload<JoinAckMsg>(std::span(payload).first(
+                   payload.size() - kFeatureExtensionBytes)),
+               util::SerializeError);
 }
 
 TEST(Messages, LeaveRoundTrip) {
@@ -402,7 +373,9 @@ TEST(Messages, JoinAckRejectsDirectionMismatchedCodecs) {
   // Uploads never travel as kDelta, broadcasts never as kTopK.
   JoinAckMsg msg{3, 8, 2, 1210, 25};
   auto payload = encode_payload(msg);
-  const std::size_t codec_off = payload.size() - 10;  // upload_codec byte
+  // upload_codec byte: before broadcast_codec, keep_fraction and the
+  // feature/clock fields.
+  const std::size_t codec_off = payload.size() - 10 - kFeatureExtensionBytes;
   payload[codec_off] = static_cast<std::uint8_t>(fl::Codec::kDelta);
   EXPECT_THROW(decode_payload<JoinAckMsg>(payload), util::SerializeError);
   payload[codec_off] = static_cast<std::uint8_t>(fl::Codec::kDense);

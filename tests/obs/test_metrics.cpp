@@ -201,22 +201,5 @@ TEST(ScopedTimer, RecordsIntoHistogram) {
   EXPECT_EQ(h.count(), 2u);
 }
 
-TEST(Span, NestedPathsFeedDottedHistograms) {
-  MetricsRegistry reg;
-  EXPECT_EQ(Span::current_path(), "");
-  {
-    Span outer("round", reg);
-    EXPECT_EQ(Span::current_path(), "round");
-    {
-      Span inner("detect", reg);
-      EXPECT_EQ(Span::current_path(), "round.detect");
-    }
-    EXPECT_EQ(Span::current_path(), "round");
-  }
-  EXPECT_EQ(Span::current_path(), "");
-  EXPECT_EQ(reg.histogram("span.round").count(), 1u);
-  EXPECT_EQ(reg.histogram("span.round.detect").count(), 1u);
-}
-
 }  // namespace
 }  // namespace fifl::obs

@@ -102,6 +102,27 @@ TEST(RoundTrace, FromJsonlRejectsMalformed) {
                std::runtime_error);
 }
 
+TEST(RoundTrace, FromJsonlRejectsNetBlockWithoutLateUploads) {
+  RoundTrace t = sample_trace();
+  t.has_net = true;
+  t.net.late_uploads = 5;
+  t.net.send_retries = 2;
+  t.net.dropped_workers = 1;
+  const std::string line = t.to_jsonl();
+  const RoundTrace back = RoundTrace::from_jsonl(line);
+  EXPECT_TRUE(back.has_net);
+  EXPECT_EQ(back.net.late_uploads, 5u);
+  EXPECT_EQ(back.net.send_retries, 2u);
+  EXPECT_EQ(back.net.dropped_workers, 1u);
+
+  const std::string field = "\"late_uploads\":5,";
+  std::string without = line;
+  const std::size_t at = without.find(field);
+  ASSERT_NE(at, std::string::npos) << line;
+  without.erase(at, field.size());
+  EXPECT_THROW((void)RoundTrace::from_jsonl(without), std::runtime_error);
+}
+
 TEST(RoundTraceRecorder, MemoryOnlyRecorderIsEnabled) {
   RoundTraceRecorder recorder;
   EXPECT_TRUE(recorder.enabled());

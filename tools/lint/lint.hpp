@@ -94,7 +94,6 @@ struct Config {
   // wall-clock and entropy sources are legitimate by design.
   std::vector<std::string> nondet_allow = {
       "src/util/rng.hpp",     // the seeded RNG itself
-      "src/util/timer.hpp",   // wall-clock timing helper (obs/bench only)
       "src/util/logging.cpp", // timestamped log lines
       "src/obs/",             // observability layer measures wall time
       "src/net/tcp.cpp",      // socket timeouts / retry backoff
