@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 #include <utility>
 
+#include "chain/sha256.hpp"
 #include "chain/signature.hpp"
 #include "net/frame.hpp"
 #include "net/messages.hpp"
@@ -864,6 +866,244 @@ TEST(Messages, AuditProofCachedBundleCarriesHeadersFrom) {
   EXPECT_EQ(back.bundle().headers_from, 4u);
   expect_all_truncations_throw(msg);
   expect_rejects_trailing_bytes(msg);
+}
+
+// --- Canonical instances: one per message type and payload variant ------
+//
+// Every field carries a non-default value where the type allows it, so a
+// reordered or resized field changes the bytes.
+
+std::vector<JoinMsg> canonical(std::type_identity<JoinMsg>) {
+  return {{17, NodeRole::kServer, fl::kAllCodecs, kFeatureTrace, 123456789}};
+}
+
+std::vector<JoinAckMsg> canonical(std::type_identity<JoinAckMsg>) {
+  JoinAckMsg msg{3, 8, 2, 1210, 25};
+  msg.upload_codec = static_cast<std::uint8_t>(fl::Codec::kTopK);
+  msg.broadcast_codec = static_cast<std::uint8_t>(fl::Codec::kDelta);
+  msg.keep_fraction = 0.1;
+  msg.features = kFeatureTrace;
+  msg.clock_us = 42424242;
+  return {msg};
+}
+
+std::vector<LeaveMsg> canonical(std::type_identity<LeaveMsg>) {
+  return {{9, "training complete"}};
+}
+
+std::vector<HeartbeatMsg> canonical(std::type_identity<HeartbeatMsg>) {
+  return {{4, 0xdeadbeefcafeull, 1}};
+}
+
+std::vector<ModelBroadcastMsg> canonical(
+    std::type_identity<ModelBroadcastMsg>) {
+  ModelBroadcastMsg dense;
+  dense.round = 12;
+  for (std::size_t i = 0; i < 64; ++i) {
+    dense.checkpoint.push_back(static_cast<std::uint8_t>(i * 37 + 5));
+  }
+  ModelBroadcastMsg delta;
+  delta.round = 9;
+  delta.codec = static_cast<std::uint8_t>(fl::Codec::kDelta);
+  delta.base_round = 8;
+  delta.delta.dense_size = 100;
+  delta.delta.indices = {2, 40, 99};
+  delta.delta.values = {1.5f, -0.25f, 3.0f};
+  return {dense, delta};
+}
+
+std::vector<GradientUploadMsg> canonical(
+    std::type_identity<GradientUploadMsg>) {
+  GradientUploadMsg dense;
+  dense.round = 3;
+  dense.worker = 5;
+  dense.samples = 120;
+  dense.ground_truth_attack = 1;
+  for (int i = 0; i < 16; ++i) {
+    dense.gradient.push_back(0.25f * static_cast<float>(i) - 1.5f);
+  }
+  return {dense, sample_sparse_upload()};
+}
+
+std::vector<SliceAggregateMsg> canonical(
+    std::type_identity<SliceAggregateMsg>) {
+  SliceAggregateMsg msg;
+  msg.round = 7;
+  msg.server_index = 1;
+  msg.offset = 605;
+  msg.values = {1.0f, -2.5f, 0.0f, 3.25f};
+  return {msg};
+}
+
+std::vector<AssessmentResultMsg> canonical(
+    std::type_identity<AssessmentResultMsg>) {
+  return {sample_assessment()};
+}
+
+std::vector<RoundSummaryMsg> canonical(std::type_identity<RoundSummaryMsg>) {
+  RoundSummaryMsg msg;
+  msg.round = 12;
+  msg.degraded = 1;
+  msg.next_executor = 2;
+  msg.counted = {0, 2, 3, 7};
+  return {msg};
+}
+
+std::vector<BlockProposalMsg> canonical(
+    std::type_identity<BlockProposalMsg>) {
+  const chain::SealedBlockHeader sealed = sample_sealed_header(5);
+  BlockProposalMsg msg;
+  msg.round = 5;
+  msg.block_index = sealed.header.index;
+  msg.previous_hash = sealed.header.previous_hash;
+  msg.merkle_root = sealed.header.merkle_root;
+  msg.block_hash = sealed.header.block_hash;
+  msg.executor_sig = sealed.executor_sig;
+  msg.records = sample_assessment().records;
+  return {msg};
+}
+
+std::vector<BlockVoteMsg> canonical(std::type_identity<BlockVoteMsg>) {
+  const chain::SealedBlockHeader sealed = sample_sealed_header(3);
+  BlockVoteMsg msg;
+  msg.round = 3;
+  msg.block_index = 3;
+  msg.block_hash = sealed.header.block_hash;
+  msg.vote = sealed.votes[0];
+  return {msg};
+}
+
+std::vector<AuditQueryMsg> canonical(std::type_identity<AuditQueryMsg>) {
+  return {{7, 4, 99,
+           static_cast<std::uint8_t>(chain::RecordKind::kReputation), 3}};
+}
+
+std::vector<AuditProofMsg> canonical(std::type_identity<AuditProofMsg>) {
+  AuditProofMsg missing;
+  missing.round = 2;
+  missing.worker = 6;
+  missing.token = 11;
+  return {sample_audit_proof(), missing};
+}
+
+std::vector<ViewChangeMsg> canonical(std::type_identity<ViewChangeMsg>) {
+  chain::KeyRegistry registry(0xabcdu);
+  registry.register_node(9);
+  ViewChangeMsg msg;
+  msg.round = 3;
+  msg.view = 2;
+  msg.proposer_index = 1;
+  msg.dead_index = 0;
+  msg.committed_count = 3;
+  msg.head = patterned_digest(0x20);
+  msg.sig = registry.sign(9, msg.canonical_payload());
+  return {msg};
+}
+
+std::vector<ViewChangeVoteMsg> canonical(
+    std::type_identity<ViewChangeVoteMsg>) {
+  chain::KeyRegistry registry(0xabcdu);
+  registry.register_node(10);
+  ViewChangeVoteMsg msg;
+  msg.round = 3;
+  msg.view = 2;
+  msg.proposer_index = 1;
+  msg.voter_index = 2;
+  msg.granted = 1;
+  msg.committed_count = 3;
+  msg.head = patterned_digest(0x30);
+  msg.sig = registry.sign(10, msg.canonical_payload());
+  return {msg};
+}
+
+std::vector<ChainSyncRequestMsg> canonical(
+    std::type_identity<ChainSyncRequestMsg>) {
+  return {{5, 2, 3}};
+}
+
+std::vector<ChainSyncResponseMsg> canonical(
+    std::type_identity<ChainSyncResponseMsg>) {
+  ChainSyncResponseMsg refused;
+  refused.round = 9;
+  refused.from_block = 2;
+  return {sample_chain_sync_response(), refused};
+}
+
+/// Every canonical payload of `Msgs`, in list order; each one must decode
+/// and re-encode to the same bytes.
+template <typename... Msgs>
+std::vector<std::vector<std::uint8_t>> canonical_payloads() {
+  std::vector<std::vector<std::uint8_t>> out;
+  const auto append = [&out]<typename Msg>(std::type_identity<Msg> type) {
+    for (const Msg& msg : canonical(type)) {
+      const auto bytes = encode_payload(msg);
+      EXPECT_EQ(encode_payload(decode_payload<Msg>(bytes)), bytes);
+      out.push_back(bytes);
+    }
+  };
+  (append(std::type_identity<Msgs>{}), ...);
+  return out;
+}
+
+TEST(Messages, CanonicalPayloadsMatchGoldenHashes) {
+  // SHA-256 of the 21 canonical payloads (every type and payload variant,
+  // in tag order), recorded before the codec became one field list per
+  // message: a change to any wire byte fails here.
+  const std::pair<const char*, const char*> kGolden[] = {
+      {"join",
+       "b880a3458c036669e03e47d4000c712b94f8013a03839a8d121a970db4237f43"},
+      {"join_ack",
+       "bc6badd4e3b4313b6856d73c61725910f74160af12a5af1c45368a74692e35d2"},
+      {"leave",
+       "322e832c69aad5e0e60c8b18773b7d32a74a47fb8ce7bff4ffa9e8a87af406b1"},
+      {"heartbeat",
+       "49f72c51584bac13c6103d2d948bc4d9354b3c6af9f5adf28474e771281917c7"},
+      {"model_broadcast dense",
+       "dae6587ed37e309a70ece0ff347b14f42c51a6283a1225abb2240919a64729d3"},
+      {"model_broadcast delta",
+       "467d4a0e4bc4ed975804d07e4eec601052e8be4b935ba77356ed72567110f5eb"},
+      {"gradient_upload dense",
+       "5a6e4da2eea591fc34ce01cc6b5fe47e50cf1f465448236cccc4a2e9048d8b7e"},
+      {"gradient_upload top-k",
+       "b1dc1801f0aaca56eae78224dfc2198b2d48b3c94ed03dcfdf1de9530812e091"},
+      {"slice_aggregate",
+       "51d01cc06aab53e15ee0b429c056e95ba313ad6567369ec69003bd487d29ce17"},
+      {"assessment_result",
+       "8c6837ad23723f80955f45043c17f8d7fd94b4016b0701fe6b8e3b19f8191000"},
+      {"round_summary",
+       "7ae5dc979fbc34375034b18cbbad4577c88a8b2d2b6a931db7af1b6d349c895c"},
+      {"block_proposal",
+       "14bae073dd84fbfeb478864480bd3637ba4de4be16f86c6486f526268a5fbc32"},
+      {"block_vote",
+       "55cf9e8e201df1a0cae90f2afd328a3abf318fd6246b1d745bbf4cb3e5d8ba91"},
+      {"audit_query",
+       "6e3028f034e7c0aa60fb5e50f14ca86cb472efa5cbea2421d22028680f307fee"},
+      {"audit_proof found",
+       "9f88733eb5e20981d57cc68269601d018c8a28f23b2d7623a582a8c0545714a2"},
+      {"audit_proof missing",
+       "a7c7093e65dbbd9fd897df65d7bb36e59d1bd168d1d9e08d7a85190aa747c654"},
+      {"view_change",
+       "a78708e700ee451c82c88ee4757c2a736d8a5d68832afb164d142620b01c30c7"},
+      {"view_change_vote",
+       "796236b7190d10042c3556b15c344831d615bc03804dd433bc3b88c3602a6cd7"},
+      {"chain_sync_request",
+       "4afba3e81978bde1b347be80d3dccbecef95d0c8c7ad515249bfcec07f76a67d"},
+      {"chain_sync_response ok",
+       "9107a689e050375302babda24ced7c966f8a926a7b5bc34d987579153b694dea"},
+      {"chain_sync_response refused",
+       "e0980d095e2fa557ba773510d18e2cefb23c28e79bc798d8590026915e0774f1"},
+  };
+  const auto payloads = canonical_payloads<
+      JoinMsg, JoinAckMsg, LeaveMsg, HeartbeatMsg, ModelBroadcastMsg,
+      GradientUploadMsg, SliceAggregateMsg, AssessmentResultMsg,
+      RoundSummaryMsg, BlockProposalMsg, BlockVoteMsg, AuditQueryMsg,
+      AuditProofMsg, ViewChangeMsg, ViewChangeVoteMsg, ChainSyncRequestMsg,
+      ChainSyncResponseMsg>();
+  ASSERT_EQ(payloads.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(chain::to_hex(chain::sha256(payloads[i])), kGolden[i].second)
+        << "canonical payload " << i << " (" << kGolden[i].first << ")";
+  }
 }
 
 }  // namespace
