@@ -175,11 +175,11 @@ void BM_AuditProofBytes(benchmark::State& state) {
   std::size_t full_bytes = 0;
   std::size_t cached_bytes = 0;
   for (auto _ : state) {
-    const auto full = fifl::net::AuditProofMsg::from_bundle(
-        round, 3, round, lead.prove(RecordKind::kReputation, round, NodeId{3}));
-    const auto cached = fifl::net::AuditProofMsg::from_bundle(
+    const fifl::net::AuditProofMsg full{
+        round, 3, round, lead.prove(RecordKind::kReputation, round, NodeId{3})};
+    const fifl::net::AuditProofMsg cached{
         round, 3, round,
-        lead.prove(RecordKind::kReputation, round, NodeId{3}, blocks - 1));
+        lead.prove(RecordKind::kReputation, round, NodeId{3}, blocks - 1)};
     full_bytes = fifl::net::encode_payload(full).size();
     cached_bytes = fifl::net::encode_payload(cached).size();
     benchmark::DoNotOptimize(full_bytes);

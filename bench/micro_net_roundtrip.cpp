@@ -109,13 +109,13 @@ void BM_TcpHeartbeatRtt(benchmark::State& state) {
   std::uint64_t token = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    a->send_msg(2, MessageType::kHeartbeat, HeartbeatMsg{1, token, 0});
+    a->send_msg(2, HeartbeatMsg{1, token, 0});
     auto ping = b->recv(std::chrono::milliseconds(10000));
     if (!ping) {
       state.SkipWithError("ping lost");
       break;
     }
-    b->send_msg(1, MessageType::kHeartbeat, HeartbeatMsg{2, token, 1});
+    b->send_msg(1, HeartbeatMsg{2, token, 1});
     auto pong = a->recv(std::chrono::milliseconds(10000));
     if (!pong) {
       state.SkipWithError("pong lost");

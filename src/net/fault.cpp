@@ -12,28 +12,7 @@ namespace fifl::net {
 
 namespace {
 
-bool is_data_plane(MessageType type) noexcept {
-  switch (type) {
-    case MessageType::kModelBroadcast:
-    case MessageType::kGradientUpload:
-    case MessageType::kSliceAggregate:
-    case MessageType::kAssessmentResult:
-    case MessageType::kRoundSummary:
-    case MessageType::kBlockProposal:
-    case MessageType::kBlockVote:
-    case MessageType::kAuditQuery:
-    case MessageType::kAuditProof:
-    case MessageType::kViewChange:
-    case MessageType::kViewChangeVote:
-    case MessageType::kChainSyncRequest:
-    case MessageType::kChainSyncResponse:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Every data-plane message begins with its round as a u64 (see
+/// Data-plane payloads begin with their round as a u64 (RoundTagged in
 /// messages.hpp), which is what makes round-windowed partitions possible
 /// without the transport knowing each message's full schema.
 std::uint64_t payload_round(std::span<const std::uint8_t> payload) {
@@ -121,7 +100,7 @@ class FaultyEndpoint : public Endpoint {
       auto env = inner_->recv(
           std::min(left, std::chrono::milliseconds(10)));
       if (!env) continue;
-      if (is_data_plane(env->type) && env->payload.size() >= 8 &&
+      if (leads_with_round(env->type) && env->payload.size() >= 8 &&
           payload_round(env->payload) >= recover) {
         transport_->revive(address(), env->type,
                            payload_round(env->payload));
@@ -348,7 +327,7 @@ void FaultyTransport::faulty_send(const std::shared_ptr<Endpoint>& via,
     record(FaultKind::kByzantine, from, to, type, seq);
   }
 
-  if (is_data_plane(type)) {
+  if (leads_with_round(type)) {
     const LinkFaults* link = nullptr;
     for (const LinkFaults& lf : schedule_.links) {
       if (lf.matches(from, to)) {

@@ -1,8 +1,11 @@
 // Wire schema for the fifl::net runtime (Sec. 3.1/3.2 traffic as actual
-// messages). Every struct encodes into a util::ByteWriter payload that
-// travels inside one net::Frame; decode is the exact inverse and throws
-// util::SerializeError on any truncation or type mismatch, so a corrupted
-// frame can never silently become a half-parsed message.
+// messages). Every wire record is a struct plus one declaration of its
+// layout, `fields(io, m)`: the fields in wire order, each with the check a
+// decoder makes. WireWriter walks that list into a util::ByteWriter
+// payload that travels inside one net::Frame; WireReader walks the same
+// list back and throws util::SerializeError on any truncation, failed
+// check or oversized count, so a corrupted frame can never silently become
+// a half-parsed message.
 //
 // Message flow per round (M servers, N workers, lead = server 0):
 //   ModelBroadcast   lead -> workers          θ_t as an nn::checkpoint blob
@@ -21,8 +24,12 @@
 //   Join/JoinAck/Heartbeat/Leave              control plane
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "chain/ledger.hpp"
@@ -56,20 +63,16 @@ enum class MessageType : std::uint8_t {
   kChainSyncResponse = 17,
 };
 
+/// Its switch names every enumerator, so a new one without a name does
+/// not compile.
 const char* message_type_name(MessageType type);
 
 /// The highest-tagged enumerator. Tags are contiguous from kJoin = 1, so
-/// the per-type byte-counter arrays are sized by the enum itself — adding
-/// a message type resizes them automatically instead of silently
-/// truncating the new type's counters.
+/// the per-type byte-counter arrays are sized by the enum itself, and
+/// WireMessages below must list exactly this many messages.
 inline constexpr MessageType kLastMessageType = MessageType::kChainSyncResponse;
 inline constexpr std::size_t kMessageTypeCount =
     static_cast<std::size_t>(kLastMessageType);
-static_assert(static_cast<std::size_t>(MessageType::kJoin) == 1 &&
-                  kMessageTypeCount ==
-                      static_cast<std::size_t>(kLastMessageType),
-              "MessageType tags must stay contiguous from 1; point "
-              "kLastMessageType at the final enumerator");
 
 enum class NodeRole : std::uint8_t { kWorker = 0, kServer = 1 };
 
@@ -77,7 +80,90 @@ enum class NodeRole : std::uint8_t { kWorker = 0, kServer = 1 };
 /// trace contexts (FIFL_TRACE_DIR).
 inline constexpr std::uint32_t kFeatureTrace = 0x1u;
 
+/// Codec allowlists: uploads never carry kDelta, broadcasts never kTopK.
+inline constexpr std::uint32_t kUploadCodecs =
+    fl::codec_bit(fl::Codec::kDense) | fl::codec_bit(fl::Codec::kTopK);
+inline constexpr std::uint32_t kBroadcastCodecs =
+    fl::codec_bit(fl::Codec::kDense) | fl::codec_bit(fl::Codec::kDelta);
+
+/// `M` is `T` or `const T`: one field list serves the writer (const) and
+/// the reader (mutable).
+template <typename M, typename T>
+concept Like = std::same_as<std::remove_const_t<M>, T>;
+
+// Field-list vocabulary (`io` is a WireWriter or a WireReader):
+//   io(x)                 u8/u32/u64/f64, string, digest, SparseVector, a
+//                         nested record, or a vector of any of them (u64
+//                         count, then the elements)
+//   io.flag(x)            a 0/1 byte
+//   io.at_most(x, max)    an enum or tag byte no greater than `max`
+//   io.codec(x, allowed)  an fl::Codec tag within an allowlist
+//   io.require(ok, what)  a check over fields already read
+
+// --- The chain records the ledger messages carry ---------------------------
+
+template <typename IO, Like<chain::Signature> M>
+void fields(IO& io, M& m) {
+  io(m.signer);
+  io(m.tag);
+}
+
+template <typename IO, Like<chain::AuditRecord> M>
+void fields(IO& io, M& m) {
+  io.at_most(m.kind, chain::RecordKind::kServerSelection);
+  io(m.round);
+  io(m.subject);
+  io(m.executor);
+  io(m.value);
+  io(m.signature);
+}
+
+template <typename IO, Like<chain::BlockHeader> M>
+void fields(IO& io, M& m) {
+  io(m.index);
+  io(m.previous_hash);
+  io(m.merkle_root);
+  io(m.block_hash);
+}
+
+template <typename IO, Like<chain::SealedBlockHeader> M>
+void fields(IO& io, M& m) {
+  io(m.header);
+  io(m.executor_sig);
+  io(m.votes);
+}
+
+template <typename IO, Like<chain::MerkleProofStep> M>
+void fields(IO& io, M& m) {
+  io(m.sibling);
+  io.flag(m.sibling_on_left);
+}
+
+/// A miss (found == false) carries nothing else, so it cannot smuggle
+/// unverified proof bytes.
+template <typename IO, Like<chain::AuditProofBundle> M>
+void fields(IO& io, M& m) {
+  io.flag(m.found);
+  if (!m.found) return;
+  io(m.record);
+  io(m.block_index);
+  io(m.record_index);
+  io(m.proof);
+  io(m.headers_from);
+  io(m.headers);
+  // The shipped headers cover chain indices [headers_from, headers_from +
+  // n); the proved block must lie under that tip (its header is either
+  // shipped here or already in the querier's cache).
+  const std::uint64_t n = m.headers.size();
+  io.require(m.headers_from <= std::numeric_limits<std::uint64_t>::max() - n &&
+                 m.block_index < m.headers_from + n,
+             "block index outside the header chain");
+}
+
+// --- Messages ---------------------------------------------------------------
+
 struct JoinMsg {
+  static constexpr MessageType kType = MessageType::kJoin;
   std::uint32_t node = 0;
   NodeRole role = NodeRole::kWorker;
   /// Capability mask of fl::Codec bits this node can encode/decode; must
@@ -89,12 +175,21 @@ struct JoinMsg {
   /// fifl-tracecat uses to merge node timelines.
   std::uint32_t features = 0;
   std::uint64_t clock_us = 0;
-
-  void encode(util::ByteWriter& w) const;
-  static JoinMsg decode(util::ByteReader& r);
 };
 
+template <typename IO, Like<JoinMsg> M>
+void fields(IO& io, M& m) {
+  io(m.node);
+  io.at_most(m.role, NodeRole::kServer);
+  io(m.codecs);
+  io.require(fl::codec_in(m.codecs, fl::Codec::kDense),
+             "codec mask must include dense");
+  io(m.features);
+  io(m.clock_us);
+}
+
 struct JoinAckMsg {
+  static constexpr MessageType kType = MessageType::kJoinAck;
   std::uint32_t node = 0;  // the joiner being acknowledged
   std::uint32_t workers = 0;
   std::uint32_t servers = 0;
@@ -112,30 +207,52 @@ struct JoinAckMsg {
   /// local_recv_time.
   std::uint32_t features = 0;
   std::uint64_t clock_us = 0;
-
-  void encode(util::ByteWriter& w) const;
-  static JoinAckMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<JoinAckMsg> M>
+void fields(IO& io, M& m) {
+  io(m.node);
+  io(m.workers);
+  io(m.servers);
+  io(m.param_count);
+  io(m.rounds);
+  io.codec(m.upload_codec, kUploadCodecs);
+  io.codec(m.broadcast_codec, kBroadcastCodecs);
+  io(m.keep_fraction);
+  io.require(m.keep_fraction > 0.0 && m.keep_fraction <= 1.0,
+             "keep_fraction outside (0,1]");
+  io(m.features);
+  io(m.clock_us);
+}
 
 struct LeaveMsg {
+  static constexpr MessageType kType = MessageType::kLeave;
   std::uint32_t node = 0;
   std::string reason;
-
-  void encode(util::ByteWriter& w) const;
-  static LeaveMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<LeaveMsg> M>
+void fields(IO& io, M& m) {
+  io(m.node);
+  io(m.reason);
+}
 
 /// Ping/pong: `echo == 0` is a request the receiver answers with the same
 /// token and `echo == 1`; the sender pairs it with its send timestamp to
 /// observe net.rtt_ms.
 struct HeartbeatMsg {
+  static constexpr MessageType kType = MessageType::kHeartbeat;
   std::uint32_t node = 0;
   std::uint64_t token = 0;
   std::uint8_t echo = 0;
-
-  void encode(util::ByteWriter& w) const;
-  static HeartbeatMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<HeartbeatMsg> M>
+void fields(IO& io, M& m) {
+  io(m.node);
+  io(m.token);
+  io.flag(m.echo);
+}
 
 /// Global parameters θ_t for round `round`. With codec kDense the payload
 /// is nn::checkpoint bytes (magic + version + tag + f32 params) — the
@@ -144,15 +261,25 @@ struct HeartbeatMsg {
 /// θ the receiver acknowledged holding) plus the bitwise parameter delta
 /// from that θ to this round's; the receiver overlays it in place.
 struct ModelBroadcastMsg {
+  static constexpr MessageType kType = MessageType::kModelBroadcast;
   std::uint64_t round = 0;
   std::uint8_t codec = static_cast<std::uint8_t>(fl::Codec::kDense);
   std::vector<std::uint8_t> checkpoint;  // kDense payload
   std::uint64_t base_round = 0;          // kDelta payload
   fl::SparseVector delta;                // kDelta payload
-
-  void encode(util::ByteWriter& w) const;
-  static ModelBroadcastMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<ModelBroadcastMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io.codec(m.codec, kBroadcastCodecs);
+  if (m.codec == static_cast<std::uint8_t>(fl::Codec::kDelta)) {
+    io(m.base_round);
+    io(m.delta);
+  } else {
+    io(m.checkpoint);
+  }
+}
 
 /// One worker's model update. With codec kDense the gradient travels as
 /// the full f32 array (`gradient`); with kTopK as sorted sparse
@@ -160,6 +287,7 @@ struct ModelBroadcastMsg {
 /// canonicalization point, so the assessment pipeline only ever sees
 /// dense vectors regardless of what was on the wire.
 struct GradientUploadMsg {
+  static constexpr MessageType kType = MessageType::kGradientUpload;
   std::uint64_t round = 0;
   std::uint32_t worker = 0;
   std::uint64_t samples = 0;  // n_i, the aggregation weight
@@ -173,30 +301,21 @@ struct GradientUploadMsg {
   /// Allocation-free variant: densifies into `out`, reusing its capacity
   /// — the steady-state per-round path on the server side.
   void densify_into(fl::Gradient& out) const;
-
-  void encode(util::ByteWriter& w) const;
-  static GradientUploadMsg decode(util::ByteReader& r);
 };
 
-/// Quorum outcome of one round, published by the lead to every follower
-/// replica before assessment runs: the exact (sorted) set of workers
-/// whose uploads were counted. Followers feed their engines precisely
-/// this set — workers not listed become uncertain events — which is what
-/// keeps the deterministic replicas bit-identical even when the lead
-/// proceeded on a partial round.
-struct RoundSummaryMsg {
-  std::uint64_t round = 0;
-  std::uint8_t degraded = 0;  // counted < workers (quorum round)
-  /// Executor-rotation token handoff: the server index that drives the
-  /// NEXT round. Without rotation the executor names itself, so the field
-  /// is also the authoritative "who is the lead right now" signal a
-  /// rejoining server re-homes on.
-  std::uint32_t next_executor = 0;
-  std::vector<std::uint32_t> counted;
-
-  void encode(util::ByteWriter& w) const;
-  static RoundSummaryMsg decode(util::ByteReader& r);
-};
+template <typename IO, Like<GradientUploadMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.worker);
+  io(m.samples);
+  io.flag(m.ground_truth_attack);
+  io.codec(m.codec, kUploadCodecs);
+  if (m.codec == static_cast<std::uint8_t>(fl::Codec::kTopK)) {
+    io(m.sparse);
+  } else {
+    io(m.gradient);
+  }
+}
 
 /// Aggregated slice j of G̃ (Sec. 3.2: each server serves one slice).
 /// `complete == 0` means the replica could not reproduce the lead's
@@ -204,15 +323,22 @@ struct RoundSummaryMsg {
 /// values carry no information — the lead tolerates the gap instead of
 /// treating it as replica divergence.
 struct SliceAggregateMsg {
+  static constexpr MessageType kType = MessageType::kSliceAggregate;
   std::uint64_t round = 0;
   std::uint32_t server_index = 0;
   std::uint64_t offset = 0;  // first element of the slice within G̃
   std::uint8_t complete = 1;
   std::vector<float> values;
-
-  void encode(util::ByteWriter& w) const;
-  static SliceAggregateMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<SliceAggregateMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.server_index);
+  io(m.offset);
+  io.flag(m.complete);
+  io(m.values);
+}
 
 /// One worker's assessment for a round, as published to the federation.
 struct WorkerAssessment {
@@ -226,7 +352,20 @@ struct WorkerAssessment {
   double reward = 0.0;
 };
 
+template <typename IO, Like<WorkerAssessment> M>
+void fields(IO& io, M& m) {
+  io(m.worker);
+  io.flag(m.arrived);
+  io.flag(m.accepted);
+  io.flag(m.uncertain);
+  io(m.score);
+  io(m.reputation);
+  io(m.contribution);
+  io(m.reward);
+}
+
 struct AssessmentResultMsg {
+  static constexpr MessageType kType = MessageType::kAssessmentResult;
   std::uint64_t round = 0;
   std::uint8_t degraded = 0;
   double fairness = 0.0;
@@ -235,48 +374,88 @@ struct AssessmentResultMsg {
   /// reward per worker), signatures included, so any receiver can verify
   /// them against a KeyRegistry replica.
   std::vector<chain::AuditRecord> records;
-
-  void encode(util::ByteWriter& w) const;
-  static AssessmentResultMsg decode(util::ByteReader& r);
 };
 
+template <typename IO, Like<AssessmentResultMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io.flag(m.degraded);
+  io(m.fairness);
+  io(m.workers);
+  io(m.records);
+}
+
+/// Quorum outcome of one round, published by the lead to every follower
+/// replica before assessment runs: the exact (sorted) set of workers
+/// whose uploads were counted. Followers feed their engines precisely
+/// this set — workers not listed become uncertain events — which is what
+/// keeps the deterministic replicas bit-identical even when the lead
+/// proceeded on a partial round.
+struct RoundSummaryMsg {
+  static constexpr MessageType kType = MessageType::kRoundSummary;
+  std::uint64_t round = 0;
+  std::uint8_t degraded = 0;  // counted < workers (quorum round)
+  /// Executor-rotation token handoff: the server index that drives the
+  /// NEXT round. Without rotation the executor names itself, so the field
+  /// is also the authoritative "who is the lead right now" signal a
+  /// rejoining server re-homes on.
+  std::uint32_t next_executor = 0;
+  std::vector<std::uint32_t> counted;
+};
+
+template <typename IO, Like<RoundSummaryMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io.flag(m.degraded);
+  io(m.next_executor);
+  io(m.counted);
+}
+
 /// Replicated-ledger commit protocol (see chain/replicated.hpp): the
-/// round's executor proposes the block it sealed — header fields, its
+/// round's executor proposes the block it sealed — its header, its
 /// signature over the header, and the records — so every follower can
 /// recompute the block from its own replica state and detect a fork
 /// field by field. All four ledger messages lead with the round number so
 /// FaultyTransport's round-windowed partitions apply to them unchanged.
 struct BlockProposalMsg {
+  static constexpr MessageType kType = MessageType::kBlockProposal;
   std::uint64_t round = 0;
-  std::uint64_t block_index = 0;
-  chain::Digest previous_hash{};
-  chain::Digest merkle_root{};
-  chain::Digest block_hash{};
+  chain::BlockHeader header;
   chain::Signature executor_sig;
   std::vector<chain::AuditRecord> records;
-
-  chain::BlockHeader header() const;
-
-  void encode(util::ByteWriter& w) const;
-  static BlockProposalMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<BlockProposalMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.header);
+  io(m.executor_sig);
+  io(m.records);
+}
 
 /// A follower's signed endorsement of one proposed block: it recomputed
 /// the identical header from its own deterministic replica.
 struct BlockVoteMsg {
+  static constexpr MessageType kType = MessageType::kBlockVote;
   std::uint64_t round = 0;
   std::uint64_t block_index = 0;
   chain::Digest block_hash{};
   chain::Signature vote;
-
-  void encode(util::ByteWriter& w) const;
-  static BlockVoteMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<BlockVoteMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.block_index);
+  io(m.block_hash);
+  io(m.vote);
+}
 
 /// Worker -> lead: "prove my (kind) record for round `round` is on the
 /// committed chain". `token` is echoed in the answer so the worker can
 /// pair responses with outstanding queries.
 struct AuditQueryMsg {
+  static constexpr MessageType kType = MessageType::kAuditQuery;
   std::uint64_t round = 0;
   std::uint32_t worker = 0;
   std::uint64_t token = 0;
@@ -285,41 +464,39 @@ struct AuditQueryMsg {
   /// [0, last_verified_index), so the server ships only headers from that
   /// index to the tip (O(1) per-round proof bytes instead of O(rounds)).
   std::uint64_t last_verified_index = 0;
-
-  void encode(util::ByteWriter& w) const;
-  static AuditQueryMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<AuditQueryMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.worker);
+  io(m.token);
+  io.at_most(m.kind,
+             static_cast<std::uint8_t>(chain::RecordKind::kServerSelection));
+  io(m.last_verified_index);
+}
 
 /// Lead -> worker: the full chain::AuditProofBundle — record, Merkle
 /// inclusion path, and the quorum-certified header chain — which the
 /// worker verifies against its own KeyRegistry replica
-/// (chain::verify_audit_proof), trusting no single server. found == 0
-/// means no committed record matched and every other field is empty.
+/// (chain::verify_audit_proof), trusting no single server. A cached query
+/// (AuditQueryMsg::last_verified_index) gets a bundle whose headers start
+/// at headers_from; the worker splices its verified prefix back in.
 struct AuditProofMsg {
+  static constexpr MessageType kType = MessageType::kAuditProof;
   std::uint64_t round = 0;
   std::uint32_t worker = 0;
   std::uint64_t token = 0;
-  std::uint8_t found = 0;
-  chain::AuditRecord record;
-  std::uint64_t block_index = 0;
-  std::uint64_t record_index = 0;
-  chain::MerkleProof proof;
-  /// Absolute chain index of headers[0] — nonzero when the server served
-  /// a cached query (AuditQueryMsg::last_verified_index) and elided the
-  /// prefix the worker already verified. The worker splices its cache back
-  /// in before verify_audit_proof, which only accepts genesis-anchored
-  /// bundles.
-  std::uint64_t headers_from = 0;
-  std::vector<chain::SealedBlockHeader> headers;
-
-  chain::AuditProofBundle bundle() const;
-  static AuditProofMsg from_bundle(std::uint64_t round, std::uint32_t worker,
-                                   std::uint64_t token,
-                                   const chain::AuditProofBundle& bundle);
-
-  void encode(util::ByteWriter& w) const;
-  static AuditProofMsg decode(util::ByteReader& r);
+  chain::AuditProofBundle bundle;
 };
+
+template <typename IO, Like<AuditProofMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.worker);
+  io(m.token);
+  io(m.bundle);
+}
 
 /// Server -> servers: "the executor for view `view - 1` is dead; I am the
 /// highest-reputation survivor, here is my committed chain head, elect
@@ -327,6 +504,7 @@ struct AuditProofMsg {
 /// a worker or transport cannot forge an election. `round` is the round
 /// the proposer will drive after takeover (its engine's next round).
 struct ViewChangeMsg {
+  static constexpr MessageType kType = MessageType::kViewChange;
   std::uint64_t round = 0;
   std::uint64_t view = 0;
   std::uint32_t proposer_index = 0;  // server index of the proposer
@@ -337,15 +515,24 @@ struct ViewChangeMsg {
 
   /// Canonical byte string the proposer signs and voters countersign.
   std::string canonical_payload() const;
-
-  void encode(util::ByteWriter& w) const;
-  static ViewChangeMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<ViewChangeMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.view);
+  io(m.proposer_index);
+  io(m.dead_index);
+  io(m.committed_count);
+  io(m.head);
+  io(m.sig);
+}
 
 /// Server -> proposer: signed grant/nack of one ViewChange. A nack
 /// carries the voter's own committed head so a behind proposer can
 /// ChainSync from the voter before re-proposing.
 struct ViewChangeVoteMsg {
+  static constexpr MessageType kType = MessageType::kViewChangeVote;
   std::uint64_t round = 0;
   std::uint64_t view = 0;
   std::uint32_t proposer_index = 0;
@@ -356,23 +543,37 @@ struct ViewChangeVoteMsg {
   chain::Signature sig;
 
   std::string canonical_payload() const;
-
-  void encode(util::ByteWriter& w) const;
-  static ViewChangeVoteMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<ViewChangeVoteMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.view);
+  io(m.proposer_index);
+  io(m.voter_index);
+  io.flag(m.granted);
+  io(m.committed_count);
+  io(m.head);
+  io(m.sig);
+}
 
 /// Rejoining (or behind) server -> any live server: "ship me the
 /// committed blocks from `from_block` so I can replay my replica up to
 /// your tip". `round` is the requester's next engine round (== from_block
 /// for an in-sync replica).
 struct ChainSyncRequestMsg {
+  static constexpr MessageType kType = MessageType::kChainSyncRequest;
   std::uint64_t round = 0;
   std::uint32_t server_index = 0;  // the requester
   std::uint64_t from_block = 0;
-
-  void encode(util::ByteWriter& w) const;
-  static ChainSyncRequestMsg decode(util::ByteReader& r);
 };
+
+template <typename IO, Like<ChainSyncRequestMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.server_index);
+  io(m.from_block);
+}
 
 /// One committed block as served by ChainSync: the quorum certificate and
 /// the full record list, enough for the receiver to replay the block into
@@ -382,56 +583,229 @@ struct SyncedBlock {
   std::vector<chain::AuditRecord> records;
 };
 
+template <typename IO, Like<SyncedBlock> M>
+void fields(IO& io, M& m) {
+  io(m.sealed);
+  io(m.records);
+}
+
 /// Server -> requester: committed blocks [from_block, from_block + n) plus
 /// the responder's θ checkpoint at `theta_round` (the replica cannot
 /// rebuild θ from audit records alone — the aggregated gradients are not
 /// on the chain). ok == 0 means the responder could not serve a
-/// consistent snapshot (its θ and committed prefix were mid-round);
-/// the requester retries on the next round summary.
+/// consistent snapshot (its θ and committed prefix were mid-round) and
+/// carries no chain material; the requester retries on the next round
+/// summary.
 struct ChainSyncResponseMsg {
+  static constexpr MessageType kType = MessageType::kChainSyncResponse;
   std::uint64_t round = 0;
   std::uint64_t from_block = 0;
   std::uint8_t ok = 0;
   std::vector<SyncedBlock> blocks;
   std::uint64_t theta_round = 0;       // rounds applied to the shipped θ
   std::vector<std::uint8_t> theta;     // nn::checkpoint bytes
-
-  void encode(util::ByteWriter& w) const;
-  static ChainSyncResponseMsg decode(util::ByteReader& r);
 };
 
-/// chain::AuditRecord wire codec, shared by AssessmentResultMsg and any
-/// future ledger-sync message.
-void encode_audit_record(util::ByteWriter& w, const chain::AuditRecord& rec);
-chain::AuditRecord decode_audit_record(util::ByteReader& r);
+template <typename IO, Like<ChainSyncResponseMsg> M>
+void fields(IO& io, M& m) {
+  io(m.round);
+  io(m.from_block);
+  io.flag(m.ok);
+  if (m.ok == 0) return;
+  io(m.blocks);
+  io(m.theta_round);
+  io(m.theta);
+}
 
-/// chain::Digest / chain::Signature / chain::SealedBlockHeader wire
-/// codecs for the replicated-ledger messages.
-void encode_digest(util::ByteWriter& w, const chain::Digest& digest);
-chain::Digest decode_digest(util::ByteReader& r);
-void encode_signature(util::ByteWriter& w, const chain::Signature& sig);
-chain::Signature decode_signature(util::ByteReader& r);
-void encode_sealed_header(util::ByteWriter& w,
-                          const chain::SealedBlockHeader& sealed);
-chain::SealedBlockHeader decode_sealed_header(util::ByteReader& r);
+// --- The writer and the validating reader of a field list ------------------
 
-/// Encodes `msg` into a frame payload (ByteWriter buffer).
+/// A field's wire integer: an enum's underlying type, else the type itself.
+template <typename T>
+using WireInt = typename std::conditional_t<
+    std::is_enum_v<T>, std::underlying_type<T>, std::type_identity<T>>::type;
+
+/// Writes a record's field list in wire order. The checks are the
+/// reader's: the writer sends what it is given.
+class WireWriter {
+ public:
+  explicit WireWriter(util::ByteWriter& out) : out_(out) {}
+
+  void operator()(std::uint8_t v) { out_.write_u8(v); }
+  void operator()(std::uint32_t v) { out_.write_u32(v); }
+  void operator()(std::uint64_t v) { out_.write_u64(v); }
+  void operator()(double v) { out_.write_f64(v); }
+  void operator()(const std::string& s) { out_.write_string(s); }
+  void operator()(const chain::Digest& digest) { out_.write_bytes(digest); }
+  void operator()(const fl::SparseVector& sparse) { sparse.encode(out_); }
+  void operator()(const std::vector<float>& xs) { out_.write_f32_array(xs); }
+  void operator()(const std::vector<std::uint8_t>& bytes) {
+    out_.write_u64(bytes.size());
+    out_.write_bytes(bytes);
+  }
+  template <typename T>
+  void operator()(const std::vector<T>& xs) {
+    out_.write_u64(xs.size());
+    for (const T& x : xs) (*this)(x);
+  }
+  template <typename Record>
+  void operator()(const Record& record) { fields(*this, record); }
+
+  template <typename T>
+  void flag(T v) { out_.write_u8(static_cast<std::uint8_t>(v)); }
+  template <typename T>
+  void at_most(T v, T /*max*/) { (*this)(static_cast<WireInt<T>>(v)); }
+  void codec(std::uint8_t v, std::uint32_t /*allowed*/) { out_.write_u8(v); }
+  void require(bool /*ok*/, const char* /*what*/) {}
+
+ private:
+  util::ByteWriter& out_;
+};
+
+/// Encoded size of a default `T`: the least room one sequence element
+/// takes, so the reader rejects a count the rest of the payload cannot
+/// hold before allocating for it.
+template <typename T>
+std::size_t min_wire_size() {
+  util::ByteWriter out;
+  WireWriter{out}(T{});
+  return out.buffer().size();
+}
+
+/// Reads a record's field list in wire order and makes every check it
+/// declares; a failure throws util::SerializeError naming `what`.
+class WireReader {
+ public:
+  WireReader(util::ByteReader& in, const char* what) : in_(in), what_(what) {}
+
+  void operator()(std::uint8_t& v) { v = in_.read_u8(); }
+  void operator()(std::uint32_t& v) { v = in_.read_u32(); }
+  void operator()(std::uint64_t& v) { v = in_.read_u64(); }
+  void operator()(double& v) { v = in_.read_f64(); }
+  void operator()(std::string& s) { s = in_.read_string(); }
+  void operator()(chain::Digest& digest) {
+    const std::vector<std::uint8_t> bytes = in_.read_bytes(digest.size());
+    std::copy(bytes.begin(), bytes.end(), digest.begin());
+  }
+  void operator()(fl::SparseVector& s) { s = fl::SparseVector::decode(in_); }
+  void operator()(std::vector<float>& xs) { xs = in_.read_f32_array(); }
+  void operator()(std::vector<std::uint8_t>& bytes) {
+    bytes = in_.read_bytes(count(1));
+  }
+  template <typename T>
+  void operator()(std::vector<T>& xs) {
+    xs.resize(count(min_wire_size<T>()));
+    for (T& x : xs) (*this)(x);
+  }
+  template <typename Record>
+  void operator()(Record& record) { fields(*this, record); }
+
+  template <typename T>
+  void flag(T& v) {
+    const std::uint8_t raw = in_.read_u8();
+    require(raw <= 1, "flag byte must be 0/1");
+    v = static_cast<T>(raw);
+  }
+  template <typename T>
+  void at_most(T& v, T max) {
+    WireInt<T> raw{};
+    (*this)(raw);
+    if (raw > static_cast<WireInt<T>>(max)) {
+      fail("value " + std::to_string(raw) + " out of range");
+    }
+    v = static_cast<T>(raw);
+  }
+  void codec(std::uint8_t& v, std::uint32_t allowed) {
+    v = in_.read_u8();
+    if (v > static_cast<std::uint8_t>(fl::Codec::kDelta) ||
+        !fl::codec_in(allowed, static_cast<fl::Codec>(v))) {
+      fail("codec " + std::to_string(v) + " not allowed");
+    }
+  }
+  void require(bool ok, const char* what) { if (!ok) fail(what); }
+
+ private:
+  [[noreturn]] void fail(const std::string& why) const {
+    throw util::SerializeError(std::string(what_) + ": " + why);
+  }
+  /// A sequence's u64 count, no larger than the remaining bytes allow at
+  /// `min_size` bytes per element.
+  std::size_t count(std::size_t min_size) {
+    const std::uint64_t n = in_.read_u64();
+    require(n <= in_.remaining() / min_size, "count exceeds payload");
+    return static_cast<std::size_t>(n);
+  }
+
+  util::ByteReader& in_;
+  const char* what_;
+};
+
+// --- The message list -------------------------------------------------------
+
+template <typename... Msgs>
+struct MessageList {
+  /// Calls `f(std::type_identity<Msg>{})` for each message, in list order.
+  template <typename F>
+  static constexpr void for_each(F&& f) {
+    (f(std::type_identity<Msgs>{}), ...);
+  }
+};
+
+/// Every wire message, in tag order.
+using WireMessages =
+    MessageList<JoinMsg, JoinAckMsg, LeaveMsg, HeartbeatMsg,
+                ModelBroadcastMsg, GradientUploadMsg, SliceAggregateMsg,
+                AssessmentResultMsg, RoundSummaryMsg, BlockProposalMsg,
+                BlockVoteMsg, AuditQueryMsg, AuditProofMsg, ViewChangeMsg,
+                ViewChangeVoteMsg, ChainSyncRequestMsg, ChainSyncResponseMsg>;
+
+/// A message: its tag plus a field list both walkers accept.
 template <typename Msg>
+concept WireMessage = requires(WireWriter& w, WireReader& r, const Msg& in,
+                               Msg& out) {
+  { Msg::kType } -> std::convertible_to<MessageType>;
+  fields(w, in);
+  fields(r, out);
+};
+
+template <typename... Msgs>
+constexpr bool declares_every_tag(MessageList<Msgs...>) {
+  std::size_t tag = 0;
+  const bool in_order = ((WireMessage<Msgs> &&
+                          static_cast<std::size_t>(Msgs::kType) == ++tag) &&
+                         ...);
+  return in_order && tag == kMessageTypeCount;
+}
+static_assert(declares_every_tag(WireMessages{}),
+              "WireMessages must list one WireMessage (kType + fields()) per "
+              "MessageType, in tag order, up to kLastMessageType");
+
+/// Data-plane messages: the ones with a `round`, which leads their payload
+/// as a u64 so FaultyTransport can window faults by round without the rest
+/// of the schema. Join, JoinAck, Leave and Heartbeat have none.
+template <typename Msg>
+concept RoundTagged = std::same_as<decltype(Msg::round), std::uint64_t>;
+
+/// Whether messages of `type` are RoundTagged; false for unknown tags.
+bool leads_with_round(MessageType type) noexcept;
+
+/// Encodes `msg` into a frame payload.
+template <WireMessage Msg>
 std::vector<std::uint8_t> encode_payload(const Msg& msg) {
-  util::ByteWriter writer;
-  msg.encode(writer);
-  return writer.take();
+  util::ByteWriter out;
+  WireWriter io(out);
+  fields(io, msg);
+  return out.take();
 }
 
 /// Decodes a full payload, requiring every byte to be consumed — trailing
 /// garbage means a framing bug or corruption, not a valid message.
-template <typename Msg>
+template <WireMessage Msg>
 Msg decode_payload(std::span<const std::uint8_t> payload) {
-  util::ByteReader reader(payload);
-  Msg msg = Msg::decode(reader);
-  if (!reader.exhausted()) {
-    throw util::SerializeError("message payload has trailing bytes");
-  }
+  util::ByteReader in(payload);
+  WireReader io(in, message_type_name(Msg::kType));
+  Msg msg;
+  fields(io, msg);
+  io.require(in.exhausted(), "trailing bytes after the message");
   return msg;
 }
 

@@ -30,37 +30,37 @@ constexpr std::uint64_t kLivenessTokenBase = 1ull << 63;
 /// Sends one message under a fresh child span when tracing is on; the
 /// disabled path is the plain send plus one pointer check. `parent_span`
 /// links the send into the causal tree (0 = root of the round's tree).
-template <typename Msg>
+template <WireMessage Msg>
 void traced_send(Endpoint& endpoint, const NodeTracer& tracer, NodeKey to,
-                 MessageType type, const Msg& msg, std::uint64_t round,
+                 const Msg& msg, std::uint64_t round,
                  std::uint64_t parent_span = 0) {
   if (!tracer.tracing()) {
-    endpoint.send_msg(to, type, msg);
+    endpoint.send_msg(to, msg);
     return;
   }
   const obs::TraceContext ctx{round_trace_id(round),
                               next_span_id(tracer.node), parent_span};
   const std::uint64_t t0 = trace_now_us();
-  endpoint.send_msg(to, type, msg, &ctx);
-  tracer.span(obs::SpanKind::kSend, message_type_name(type), round, t0,
+  endpoint.send_msg(to, msg, &ctx);
+  tracer.span(obs::SpanKind::kSend, message_type_name(Msg::kType), round, t0,
               trace_now_us() - t0, ctx, to);
   tracer.note(obs::FlightEventKind::kSend, to,
-              static_cast<std::uint8_t>(type), round);
+              static_cast<std::uint8_t>(Msg::kType), round);
 }
 
 /// traced_send to a peer that may be gone: the failure is logged and
 /// returned, and the caller's deadline, liveness or quorum path absorbs
 /// the missing message.
-template <typename Msg>
+template <WireMessage Msg>
 bool send_or_log(Endpoint& endpoint, const NodeTracer& tracer, NodeKey to,
-                 MessageType type, const Msg& msg, std::uint64_t round,
+                 const Msg& msg, std::uint64_t round,
                  std::uint64_t parent_span = 0) {
   try {
-    traced_send(endpoint, tracer, to, type, msg, round, parent_span);
+    traced_send(endpoint, tracer, to, msg, round, parent_span);
     return true;
   } catch (const std::exception& e) {
     util::log_warn() << "net: node " << endpoint.address()
-                     << " failed to send " << message_type_name(type)
+                     << " failed to send " << message_type_name(Msg::kType)
                      << " for round " << round << " to node " << to << ": "
                      << e.what();
     return false;
@@ -114,7 +114,7 @@ std::optional<JoinAckMsg> join_lead(Endpoint& endpoint,
     join_sent_us = trace_now_us();
     join.clock_us = join_sent_us;
   }
-  traced_send(endpoint, tracer, lead, MessageType::kJoin, join, 0);
+  traced_send(endpoint, tracer, lead, join, 0);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (!stop.load(std::memory_order_relaxed)) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -300,8 +300,8 @@ void WorkerNode::send_audit_query(std::uint64_t round, std::uint32_t server,
   // Proof caching: the server only ships the committed headers this
   // worker has not verified yet.
   query.last_verified_index = verified_headers_.size();
-  send_or_log(*endpoint_, tracer_, topology_.server_key(server),
-              MessageType::kAuditQuery, query, round, parent_span);
+  send_or_log(*endpoint_, tracer_, topology_.server_key(server), query, round,
+              parent_span);
 }
 
 void WorkerNode::retry_audit() {
@@ -362,7 +362,7 @@ void WorkerNode::run() {
       last_heartbeat = now;
       try {
         endpoint_->send_msg(
-            current_lead_, MessageType::kHeartbeat,
+            current_lead_,
             HeartbeatMsg{endpoint_->address(), liveness_token++, 0});
       } catch (const std::exception& e) {
         util::log_debug() << "net: worker " << endpoint_->address()
@@ -413,7 +413,7 @@ void WorkerNode::run() {
         break;
       }
       case MessageType::kAuditProof: {
-        const auto msg = decode_payload<AuditProofMsg>(env->payload);
+        auto msg = decode_payload<AuditProofMsg>(env->payload);
         if (audit_.enabled && msg.worker == endpoint_->address()) {
           if (!audit_registry_) {
             // Independent PKI replica: derived from the shared seed, never
@@ -422,7 +422,7 @@ void WorkerNode::run() {
             audit_registry_.emplace(chain::ReplicatedLedger::make_registry(
                 audit_.key_seed, topology_.workers, topology_.servers));
           }
-          chain::AuditProofBundle bundle = msg.bundle();
+          chain::AuditProofBundle& bundle = msg.bundle;
           if (bundle.headers_from != 0 &&
               bundle.headers_from <= verified_headers_.size()) {
             // Cached-proof splice: the server elided the prefix this
@@ -438,8 +438,7 @@ void WorkerNode::run() {
             bundle.headers_from = 0;
           }
           const bool verified =
-              msg.found != 0 &&
-              bundle.record.subject == endpoint_->address() &&
+              bundle.found && bundle.record.subject == endpoint_->address() &&
               bundle.record.round == msg.token &&
               bundle.record.kind == chain::RecordKind::kReputation &&
               chain::verify_audit_proof(bundle, *audit_registry_,
@@ -492,11 +491,11 @@ void WorkerNode::handle_broadcast(const ModelBroadcastMsg& msg,
   if (has_trained_ && msg.round < last_trained_round_) return;  // stale
   if (has_trained_ && msg.round == last_trained_round_) {
     for (NodeKey server : topology_.server_keys()) {
-      send_or_log(*endpoint_, tracer_, server, MessageType::kGradientUpload,
-                  cached_upload_, msg.round, parent_span);
+      send_or_log(*endpoint_, tracer_, server, cached_upload_, msg.round,
+                  parent_span);
     }
     try {
-      endpoint_->send_msg(current_lead_, MessageType::kHeartbeat,
+      endpoint_->send_msg(current_lead_,
                           HeartbeatMsg{endpoint_->address(), msg.round, 0});
     } catch (const std::exception&) {
     }
@@ -548,13 +547,12 @@ void WorkerNode::handle_broadcast(const ModelBroadcastMsg& msg,
   for (NodeKey server : topology_.server_keys()) {
     // One unreachable server must not kill the worker: the lead's quorum
     // path absorbs the missing upload.
-    send_or_log(*endpoint_, tracer_, server, MessageType::kGradientUpload,
-                out, msg.round, parent_span);
+    send_or_log(*endpoint_, tracer_, server, out, msg.round, parent_span);
   }
   // Ping the lead once per round; the echo feeds net.rtt_ms.
   ping_sent_[msg.round] = std::chrono::steady_clock::now();
   try {
-    endpoint_->send_msg(current_lead_, MessageType::kHeartbeat,
+    endpoint_->send_msg(current_lead_,
                         HeartbeatMsg{endpoint_->address(), msg.round, 0});
   } catch (const std::exception&) {
     ping_sent_.erase(msg.round);
@@ -706,8 +704,8 @@ void ServerNode::handle_control(const Envelope& envelope) {
           ack.features = kFeatureTrace;
           ack.clock_us = trace_now_us();
         }
-        traced_send(*endpoint_, tracer_, envelope.from, MessageType::kJoinAck,
-                    ack, 0, envelope.has_trace ? envelope.trace.span_id : 0);
+        traced_send(*endpoint_, tracer_, envelope.from, ack, 0,
+                    envelope.has_trace ? envelope.trace.span_id : 0);
       }
       break;
     }
@@ -721,7 +719,7 @@ void ServerNode::handle_control(const Envelope& envelope) {
           note_broadcast_ack(envelope.from, hb.token);
         }
         try {
-          endpoint_->send_msg(envelope.from, MessageType::kHeartbeat,
+          endpoint_->send_msg(envelope.from,
                               HeartbeatMsg{endpoint_->address(), hb.token, 1});
         } catch (const std::exception&) {
           // An unreachable pinger is the liveness machinery's problem.
@@ -752,7 +750,7 @@ void ServerNode::handle_control(const Envelope& envelope) {
         // Buffer only (executor role included — see kRoundSummary):
         // voting waits until this replica has sealed the block itself
         // (run_follower drains after each summary).
-        pending_proposals_[proposal.block_index] = std::move(proposal);
+        pending_proposals_[proposal.header.index] = std::move(proposal);
       }
       break;
     }
@@ -771,14 +769,12 @@ void ServerNode::handle_control(const Envelope& envelope) {
       if (replicated_) {
         const auto query = decode_payload<AuditQueryMsg>(envelope.payload);
         if (!replicated_->committed(query.round)) break;
-        const chain::AuditProofBundle bundle = replicated_->prove(
-            static_cast<chain::RecordKind>(query.kind), query.round,
-            query.worker, query.last_verified_index);
-        send_or_log(*endpoint_, tracer_, envelope.from,
-                    MessageType::kAuditProof,
-                    AuditProofMsg::from_bundle(query.round, query.worker,
-                                               query.token, bundle),
-                    query.round,
+        const AuditProofMsg proof{
+            query.round, query.worker, query.token,
+            replicated_->prove(static_cast<chain::RecordKind>(query.kind),
+                               query.round, query.worker,
+                               query.last_verified_index)};
+        send_or_log(*endpoint_, tracer_, envelope.from, proof, query.round,
                     envelope.has_trace ? envelope.trace.span_id : 0);
       }
       break;
@@ -993,7 +989,7 @@ void ServerNode::run_executor() {
       continue;
     }
     try {
-      endpoint_->send_msg(node, MessageType::kLeave,
+      endpoint_->send_msg(node,
                           LeaveMsg{endpoint_->address(), "training complete"});
     } catch (const std::exception&) {
       // A node that already dropped its connection is fine to skip.
@@ -1040,7 +1036,6 @@ void ServerNode::broadcast_round(std::uint64_t r,
       continue;
     }
     send_or_log(*endpoint_, tracer_, topology_.worker_key(i),
-                MessageType::kModelBroadcast,
                 broadcast_for(i, broadcast, theta, delta_cache), r);
   }
   note_phase(tracer_, NetMetrics::global().phase_broadcast_ms, "broadcast", r,
@@ -1071,7 +1066,7 @@ std::vector<GradientUploadMsg> ServerNode::publish_summary(
   }
   pending_uploads_.erase(r);
   summary.degraded = msgs.size() < topology_.workers ? 1 : 0;
-  send_to_other_servers(MessageType::kRoundSummary, summary, r);
+  send_to_other_servers(summary, r);
   return msgs;
 }
 
@@ -1099,8 +1094,7 @@ void ServerNode::publish_assessment(std::uint64_t r,
   assessment.records = engine_->ledger().query(std::nullopt, r, std::nullopt);
   for (std::uint32_t i = 0; i < topology_.workers; ++i) {
     if (dead_workers_.count(i) != 0) continue;
-    send_or_log(*endpoint_, tracer_, topology_.worker_key(i),
-                MessageType::kAssessmentResult, assessment, r);
+    send_or_log(*endpoint_, tracer_, topology_.worker_key(i), assessment, r);
   }
 }
 
@@ -1207,13 +1201,10 @@ void ServerNode::propose_block(std::uint64_t b) {
   const chain::SealedBlockHeader& sealed = replicated_->propose(b);
   BlockProposalMsg proposal;
   proposal.round = b;
-  proposal.block_index = sealed.header.index;
-  proposal.previous_hash = sealed.header.previous_hash;
-  proposal.merkle_root = sealed.header.merkle_root;
-  proposal.block_hash = sealed.header.block_hash;
+  proposal.header = sealed.header;
   proposal.executor_sig = sealed.executor_sig;
   proposal.records = engine_->ledger().block(b).records;
-  send_to_other_servers(MessageType::kBlockProposal, proposal, b);
+  send_to_other_servers(proposal, b);
   drain_pending_votes(b);
 }
 
@@ -1383,10 +1374,10 @@ void ServerNode::follower_vote_on_proposals() {
                                 const chain::Signature& vote) {
     BlockVoteMsg out;
     out.round = proposal.round;
-    out.block_index = proposal.block_index;
-    out.block_hash = proposal.block_hash;
+    out.block_index = proposal.header.index;
+    out.block_hash = proposal.header.block_hash;
     out.vote = vote;
-    send_to_other_servers(MessageType::kBlockVote, out, proposal.round);
+    send_to_other_servers(out, proposal.round);
   };
   while (!pending_proposals_.empty()) {
     const auto it = pending_proposals_.begin();
@@ -1407,11 +1398,12 @@ void ServerNode::follower_vote_on_proposals() {
       const BlockProposalMsg proposal = std::move(it->second);
       pending_proposals_.erase(it);
       const chain::SealedBlockHeader* own =
-          replicated_->sealed(proposal.block_index);
-      if (own != nullptr && own->header.block_hash == proposal.block_hash) {
+          replicated_->sealed(proposal.header.index);
+      if (own != nullptr &&
+          own->header.block_hash == proposal.header.block_hash) {
         send_vote(proposal, replicated_->registry().sign(
                                 replicated_->self(),
-                                proposal.header().canonical_payload()));
+                                proposal.header.canonical_payload()));
       }
       continue;
     }
@@ -1419,7 +1411,7 @@ void ServerNode::follower_vote_on_proposals() {
     const BlockProposalMsg proposal = std::move(it->second);
     pending_proposals_.erase(it);
     const std::optional<chain::Signature> vote = replicated_->verify_and_vote(
-        proposal.header(), proposal.executor_sig, proposal.records);
+        proposal.header, proposal.executor_sig, proposal.records);
     if (!vote) {
       // The executor proposed a block this replica's deterministic ledger
       // did not produce: a fork, by construction the strongest Byzantine
@@ -1432,11 +1424,11 @@ void ServerNode::follower_vote_on_proposals() {
       obs::FlightRegistry::global().dump("ledger_fork");
       throw std::runtime_error(
           "server " + std::to_string(endpoint_->address()) +
-          ": proposed block " + std::to_string(proposal.block_index) +
+          ": proposed block " + std::to_string(proposal.header.index) +
           " contradicts the local replica ledger (fork)");
     }
     send_vote(proposal, *vote);
-    drain_pending_votes(proposal.block_index);
+    drain_pending_votes(proposal.header.index);
   }
 }
 
@@ -1576,8 +1568,7 @@ void ServerNode::process_summary(const RoundSummaryMsg& summary,
     }
     out.complete = 0;
   }
-  send_or_log(*endpoint_, tracer_, executor, MessageType::kSliceAggregate, out,
-              r);
+  send_or_log(*endpoint_, tracer_, executor, out, r);
 }
 
 void ServerNode::note_broadcast_ack(NodeKey worker, std::uint64_t round) {
@@ -1624,12 +1615,10 @@ const ModelBroadcastMsg& ServerNode::broadcast_for(
 }
 
 template <typename Msg>
-void ServerNode::send_to_other_servers(MessageType type, const Msg& msg,
-                                       std::uint64_t round) {
+void ServerNode::send_to_other_servers(const Msg& msg, std::uint64_t round) {
   for (std::uint32_t j = 0; j < topology_.servers; ++j) {
     if (j == config_.server_index) continue;
-    send_or_log(*endpoint_, tracer_, topology_.server_key(j), type, msg,
-                round);
+    send_or_log(*endpoint_, tracer_, topology_.server_key(j), msg, round);
   }
 }
 
@@ -1683,8 +1672,8 @@ void ServerNode::handle_view_change(const ViewChangeMsg& msg) {
   vote.head = committed_head();
   vote.sig =
       replicated_->registry().sign(replicated_->self(), vote.canonical_payload());
-  send_or_log(*endpoint_, tracer_, topology_.server_key(msg.proposer_index),
-              MessageType::kViewChangeVote, vote, msg.round);
+  send_or_log(*endpoint_, tracer_, topology_.server_key(msg.proposer_index), vote,
+              msg.round);
   if (!granted) return;
   granted_view_ = msg.view;
   view_ = std::max(view_, msg.view);
@@ -1775,7 +1764,7 @@ bool ServerNode::run_election() {
       msg.head = committed_head();
       msg.sig = replicated_->registry().sign(replicated_->self(),
                                              msg.canonical_payload());
-      send_to_other_servers(MessageType::kViewChange, msg, next_round_);
+      send_to_other_servers(msg, next_round_);
     }
     // Fold in the grant/nack replies handle_control parked for us.
     std::vector<ViewChangeVoteMsg> votes;
@@ -1872,8 +1861,7 @@ bool ServerNode::request_chain_sync(NodeKey target) {
   // hold sealed-but-uncertified blocks whose certificates the dead
   // executor never finished — re-fetching those heals the cert gap too.
   req.from_block = replicated_->committed_count();
-  if (!send_or_log(*endpoint_, tracer_, target,
-                   MessageType::kChainSyncRequest, req, next_round_)) {
+  if (!send_or_log(*endpoint_, tracer_, target, req, next_round_)) {
     return false;
   }
   sync_pending_ = true;
@@ -1898,8 +1886,7 @@ bool ServerNode::request_chain_sync(NodeKey target) {
       // idempotent and stray duplicate responses are dropped upstream.
       next_resend = tick + config_.timeouts.heartbeat;
       try {
-        traced_send(*endpoint_, tracer_, target,
-                    MessageType::kChainSyncRequest, req, next_round_);
+        traced_send(*endpoint_, tracer_, target, req, next_round_);
       } catch (const std::exception&) {
       }
     }
@@ -1994,8 +1981,7 @@ void ServerNode::serve_chain_sync(const ChainSyncRequestMsg& req,
       resp.theta = nn::checkpoint_bytes(*global_model_, "chain-sync");
     }
   }
-  send_or_log(*endpoint_, tracer_, from, MessageType::kChainSyncResponse, resp,
-              req.round);
+  send_or_log(*endpoint_, tracer_, from, resp, req.round);
 }
 
 }  // namespace fifl::net

@@ -433,8 +433,7 @@ class ServerNode {
   /// Fan-out helper: sends `msg` to every other server (dead ones
   /// included — their inboxes are cheap and liveness is their problem).
   template <typename Msg>
-  void send_to_other_servers(MessageType type, const Msg& msg,
-                             std::uint64_t round);
+  void send_to_other_servers(const Msg& msg, std::uint64_t round);
   /// The next live server after `self` in index order (rotation target);
   /// `self` when every other server is dead.
   std::uint32_t next_live_server(std::uint32_t self) const;

@@ -69,11 +69,11 @@ class Endpoint {
   /// Unblocks receivers and stops accepting traffic. Idempotent.
   virtual void close() = 0;
 
-  /// Convenience: encode a message struct and send it.
-  template <typename Msg>
-  void send_msg(NodeKey to, MessageType type, const Msg& msg,
+  /// Convenience: encode a message struct and send it under its tag.
+  template <WireMessage Msg>
+  void send_msg(NodeKey to, const Msg& msg,
                 const obs::TraceContext* trace = nullptr) {
-    send(to, type, encode_payload(msg), trace);
+    send(to, Msg::kType, encode_payload(msg), trace);
   }
 };
 

@@ -34,7 +34,7 @@ TEST(FaultTransport, EmptyScheduleIsPassThrough) {
   auto transport = make_faulty(schedule);
   auto a = transport.open(1);
   auto b = transport.open(2);
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(0, 1));
+  a->send_msg(2, upload_for(0, 1));
   auto env = b->recv(std::chrono::milliseconds(2000));
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->type, MessageType::kGradientUpload);
@@ -50,11 +50,11 @@ TEST(FaultTransport, DropBlocksDataButNotControl) {
   auto a = transport.open(1);
   auto b = transport.open(2);
 
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(0, 1));
+  a->send_msg(2, upload_for(0, 1));
   EXPECT_FALSE(b->recv(std::chrono::milliseconds(100)).has_value());
 
   // The control plane is never faulted.
-  a->send_msg(2, MessageType::kHeartbeat, HeartbeatMsg{1, 5, 0});
+  a->send_msg(2, HeartbeatMsg{1, 5, 0});
   auto env = b->recv(std::chrono::milliseconds(2000));
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->type, MessageType::kHeartbeat);
@@ -75,7 +75,7 @@ TEST(FaultTransport, DuplicateDeliversTwice) {
   auto transport = make_faulty(schedule);
   auto a = transport.open(1);
   auto b = transport.open(2);
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(3, 1));
+  a->send_msg(2, upload_for(3, 1));
 
   int delivered = 0;
   while (b->recv(std::chrono::milliseconds(200)).has_value()) ++delivered;
@@ -101,7 +101,7 @@ TEST(FaultTransport, DelayHoldsMessageButDelivers) {
   auto b = transport.open(2);
 
   const auto start = std::chrono::steady_clock::now();
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(0, 1));
+  a->send_msg(2, upload_for(0, 1));
   auto env = b->recv(std::chrono::milliseconds(5000));
   const auto waited = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(env.has_value());
@@ -126,7 +126,7 @@ TEST(FaultTransport, PartitionWindowsOnPayloadRound) {
 
   std::vector<std::uint64_t> delivered;
   for (std::uint64_t r = 0; r < 4; ++r) {
-    a->send_msg(2, MessageType::kGradientUpload, upload_for(r, 1));
+    a->send_msg(2, upload_for(r, 1));
   }
   while (auto env = b->recv(std::chrono::milliseconds(200))) {
     delivered.push_back(
@@ -151,18 +151,18 @@ TEST(FaultTransport, CrashSilencesNodeAfterKthUpload) {
 
   // Uploads 1 and 2 go out (the node dies right after the 2nd write);
   // everything afterwards — data or control — vanishes.
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(0, 1));
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(1, 1));
+  a->send_msg(2, upload_for(0, 1));
+  a->send_msg(2, upload_for(1, 1));
   EXPECT_TRUE(transport.crashed(1));
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(2, 1));
-  a->send_msg(2, MessageType::kHeartbeat, HeartbeatMsg{1, 9, 0});
+  a->send_msg(2, upload_for(2, 1));
+  a->send_msg(2, HeartbeatMsg{1, 9, 0});
 
   int delivered = 0;
   while (b->recv(std::chrono::milliseconds(200)).has_value()) ++delivered;
   EXPECT_EQ(delivered, 2);
 
   // A crashed node's receiver goes silent too.
-  b->send_msg(1, MessageType::kHeartbeat, HeartbeatMsg{2, 1, 0});
+  b->send_msg(1, HeartbeatMsg{2, 1, 0});
   EXPECT_FALSE(a->recv(std::chrono::milliseconds(50)).has_value());
 
   const auto log = transport.fault_log();
@@ -182,30 +182,30 @@ TEST(FaultTransport, CrashRecoverRevivesOnFirstMessageAtRecoverRound) {
   auto a = transport.open(1);
   auto b = transport.open(2);
 
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(0, 1));
+  a->send_msg(2, upload_for(0, 1));
   ASSERT_TRUE(b->recv(std::chrono::milliseconds(2000)).has_value());
   EXPECT_TRUE(transport.crashed(1));
   EXPECT_EQ(transport.recover_round(1), 3u);
 
   // Down: outbound vanishes, and inbound data below the recovery round is
   // discarded — a dead process reads nothing.
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(1, 1));
+  a->send_msg(2, upload_for(1, 1));
   EXPECT_FALSE(b->recv(std::chrono::milliseconds(100)).has_value());
-  b->send_msg(1, MessageType::kGradientUpload, upload_for(1, 2));
-  b->send_msg(1, MessageType::kGradientUpload, upload_for(2, 2));
+  b->send_msg(1, upload_for(1, 2));
+  b->send_msg(1, upload_for(2, 2));
   EXPECT_FALSE(a->recv(std::chrono::milliseconds(100)).has_value());
   EXPECT_TRUE(transport.crashed(1));
 
   // The first data-plane message whose payload round reaches
   // recover_round revives the node AND is delivered to it.
-  b->send_msg(1, MessageType::kGradientUpload, upload_for(3, 2));
+  b->send_msg(1, upload_for(3, 2));
   auto env = a->recv(std::chrono::milliseconds(2000));
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(decode_payload<GradientUploadMsg>(env->payload).round, 3u);
   EXPECT_FALSE(transport.crashed(1));
 
   // Back to life in both directions.
-  a->send_msg(2, MessageType::kGradientUpload, upload_for(3, 1));
+  a->send_msg(2, upload_for(3, 1));
   ASSERT_TRUE(b->recv(std::chrono::milliseconds(2000)).has_value());
 
   // The log holds the crash and the recovery, nothing for the discarded
@@ -239,8 +239,8 @@ TEST(FaultTransport, SameSeedSameScheduleSameFaultLog) {
     auto c = transport.open(3);
     auto b = transport.open(2);
     for (std::uint64_t r = 0; r < 40; ++r) {
-      a->send_msg(2, MessageType::kGradientUpload, upload_for(r, 1));
-      c->send_msg(2, MessageType::kGradientUpload, upload_for(r, 3));
+      a->send_msg(2, upload_for(r, 1));
+      c->send_msg(2, upload_for(r, 3));
     }
     std::map<std::uint64_t, int> delivered;
     while (auto env = b->recv(std::chrono::milliseconds(150))) {
@@ -264,8 +264,8 @@ TEST(FaultTransport, SameSeedSameScheduleSameFaultLog) {
   auto c = transport.open(3);
   auto b = transport.open(2);
   for (std::uint64_t r = 0; r < 40; ++r) {
-    a->send_msg(2, MessageType::kGradientUpload, upload_for(r, 1));
-    c->send_msg(2, MessageType::kGradientUpload, upload_for(r, 3));
+    a->send_msg(2, upload_for(r, 1));
+    c->send_msg(2, upload_for(r, 3));
   }
   while (b->recv(std::chrono::milliseconds(150)).has_value()) {
   }

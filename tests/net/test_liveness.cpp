@@ -61,8 +61,7 @@ std::unique_ptr<ServerNode> make_lead(Transport& transport,
 }
 
 void join_as_worker(Endpoint& ep) {
-  ep.send_msg(kLead, MessageType::kJoin,
-              JoinMsg{ep.address(), NodeRole::kWorker});
+  ep.send_msg(kLead, JoinMsg{ep.address(), NodeRole::kWorker});
   for (;;) {
     auto env = ep.recv(milliseconds(5000));
     ASSERT_TRUE(env.has_value()) << "worker " << ep.address()
@@ -82,8 +81,7 @@ GradientUploadMsg upload_msg(std::uint64_t round, std::uint32_t worker,
 }
 
 void heartbeat(Endpoint& ep, std::uint64_t token) {
-  ep.send_msg(kLead, MessageType::kHeartbeat,
-              HeartbeatMsg{ep.address(), (1ull << 62) + token, 0});
+  ep.send_msg(kLead, HeartbeatMsg{ep.address(), (1ull << 62) + token, 0});
 }
 
 struct MetricsDelta {
@@ -122,8 +120,7 @@ TEST(Liveness, SilentWorkerIsDroppedAndRejoinsOnNextUpload) {
         heartbeat(*w0_ep, token++);
       }
       if (due_round && steady_clock::now() >= due_at) {
-        w0_ep->send_msg(kLead, MessageType::kGradientUpload,
-                        upload_msg(*due_round, 0, params));
+        w0_ep->send_msg(kLead, upload_msg(*due_round, 0, params));
         due_round.reset();
       }
       auto env = w0_ep->recv(milliseconds(25));
@@ -166,14 +163,12 @@ TEST(Liveness, SilentWorkerIsDroppedAndRejoinsOnNextUpload) {
       if (env->type != MessageType::kModelBroadcast) continue;
       const auto msg = decode_payload<ModelBroadcastMsg>(env->payload);
       if (msg.round == 0) {
-        w1_ep->send_msg(kLead, MessageType::kGradientUpload,
-                        upload_msg(0, 1, params));
+        w1_ep->send_msg(kLead, upload_msg(0, 1, params));
         continue;
       }
       // Round-1 broadcast: go dark, then speak again mid-round-2.
       std::this_thread::sleep_for(milliseconds(1900));
-      w1_ep->send_msg(kLead, MessageType::kGradientUpload,
-                      upload_msg(2, 1, params));
+      w1_ep->send_msg(kLead, upload_msg(2, 1, params));
       return;
     }
   });
@@ -233,8 +228,7 @@ TEST(Liveness, BelowQuorumAborts) {
       if (env->type == MessageType::kLeave) return;
       if (env->type != MessageType::kModelBroadcast) continue;
       const auto msg = decode_payload<ModelBroadcastMsg>(env->payload);
-      ep.send_msg(kLead, MessageType::kGradientUpload,
-                  upload_msg(msg.round, ep.address(), params));
+      ep.send_msg(kLead, upload_msg(msg.round, ep.address(), params));
       if (vanish_after_round0 && msg.round == 0) return;
     }
   };

@@ -282,10 +282,8 @@ TEST(Messages, DecodedRecordsStillVerify) {
 }
 
 TEST(Messages, MessageTypeTableIsTotalAndDistinct) {
-  // Cross-checked by fifl-lint's msgtype-coverage rule (R4): every
-  // MessageType enumerator must be exercised here and in the messages.cpp
-  // encode/decode switches, so adding a message type without codec
-  // coverage fails lint before it can diverge replicas at runtime.
+  // Names and frame tags of every MessageType; the codec of each is
+  // covered by the WireCodec suite over WireMessages below.
   const std::pair<MessageType, const char*> table[] = {
       {MessageType::kJoin, "join"},
       {MessageType::kJoinAck, "join_ack"},
@@ -529,16 +527,13 @@ TEST(Messages, BlockProposalRoundTrip) {
   const chain::SealedBlockHeader sealed = sample_sealed_header(5);
   BlockProposalMsg msg;
   msg.round = 5;
-  msg.block_index = sealed.header.index;
-  msg.previous_hash = sealed.header.previous_hash;
-  msg.merkle_root = sealed.header.merkle_root;
-  msg.block_hash = sealed.header.block_hash;
+  msg.header = sealed.header;
   msg.executor_sig = sealed.executor_sig;
   msg.records = sample_assessment().records;
   ASSERT_EQ(msg.records.size(), 2u);
   const auto back = decode_payload<BlockProposalMsg>(encode_payload(msg));
   EXPECT_EQ(back.round, 5u);
-  EXPECT_EQ(back.header(), msg.header());
+  EXPECT_EQ(back.header, msg.header);
   EXPECT_EQ(back.executor_sig, msg.executor_sig);
   ASSERT_EQ(back.records.size(), 2u);
   EXPECT_EQ(back.records[0].signature, msg.records[0].signature);
@@ -550,7 +545,7 @@ TEST(Messages, BlockProposalRoundTrip) {
 TEST(Messages, BlockProposalRecordCountGuardRejectsHugeClaims) {
   BlockProposalMsg msg;
   msg.round = 1;
-  msg.block_index = 1;
+  msg.header.index = 1;
   auto payload = encode_payload(msg);
   // The record count is the trailing u64 (the empty-records encoding).
   for (std::size_t k = 1; k <= 6; ++k) payload[payload.size() - k] = 0xff;
@@ -604,14 +599,14 @@ AuditProofMsg sample_audit_proof() {
   msg.round = 4;
   msg.worker = 0;
   msg.token = 4;
-  msg.found = 1;
-  msg.record = sample_assessment().records.at(0);
-  msg.block_index = 1;
-  msg.record_index = 0;
-  msg.proof.push_back({patterned_digest(0x60), true});
-  msg.proof.push_back({patterned_digest(0x70), false});  // sibling_on_left
-  msg.headers.push_back(sample_sealed_header(0));
-  msg.headers.push_back(sample_sealed_header(1));
+  msg.bundle.found = true;
+  msg.bundle.record = sample_assessment().records.at(0);
+  msg.bundle.block_index = 1;
+  msg.bundle.record_index = 0;
+  msg.bundle.proof.push_back({patterned_digest(0x60), true});
+  msg.bundle.proof.push_back({patterned_digest(0x70), false});
+  msg.bundle.headers.push_back(sample_sealed_header(0));
+  msg.bundle.headers.push_back(sample_sealed_header(1));
   return msg;
 }
 
@@ -621,18 +616,20 @@ TEST(Messages, AuditProofRoundTrip) {
   EXPECT_EQ(back.round, 4u);
   EXPECT_EQ(back.worker, 0u);
   EXPECT_EQ(back.token, 4u);
-  EXPECT_EQ(back.found, 1);
-  EXPECT_EQ(back.record.digest(), msg.record.digest());
-  EXPECT_EQ(back.block_index, 1u);
-  EXPECT_EQ(back.record_index, 0u);
-  ASSERT_EQ(back.proof.size(), 2u);
-  EXPECT_EQ(back.proof[0].sibling, msg.proof[0].sibling);
-  EXPECT_EQ(back.proof[0].sibling_on_left, true);
-  EXPECT_EQ(back.proof[1].sibling_on_left, false);
-  ASSERT_EQ(back.headers.size(), 2u);
-  EXPECT_EQ(back.headers[1].header, msg.headers[1].header);
-  EXPECT_EQ(back.headers[1].executor_sig, msg.headers[1].executor_sig);
-  EXPECT_EQ(back.headers[1].votes, msg.headers[1].votes);
+  const chain::AuditProofBundle& sent = msg.bundle;
+  const chain::AuditProofBundle& got = back.bundle;
+  EXPECT_TRUE(got.found);
+  EXPECT_EQ(got.record.digest(), sent.record.digest());
+  EXPECT_EQ(got.block_index, 1u);
+  EXPECT_EQ(got.record_index, 0u);
+  ASSERT_EQ(got.proof.size(), 2u);
+  EXPECT_EQ(got.proof[0].sibling, sent.proof[0].sibling);
+  EXPECT_EQ(got.proof[0].sibling_on_left, true);
+  EXPECT_EQ(got.proof[1].sibling_on_left, false);
+  ASSERT_EQ(got.headers.size(), 2u);
+  EXPECT_EQ(got.headers[1].header, sent.headers[1].header);
+  EXPECT_EQ(got.headers[1].executor_sig, sent.headers[1].executor_sig);
+  EXPECT_EQ(got.headers[1].votes, sent.headers[1].votes);
   expect_all_truncations_throw(msg);
   expect_rejects_trailing_bytes(msg);
 }
@@ -644,20 +641,19 @@ TEST(Messages, AuditProofNotFoundIsMinimal) {
   msg.round = 2;
   msg.worker = 6;
   msg.token = 11;
-  msg.found = 0;
   const auto payload = encode_payload(msg);
   EXPECT_EQ(payload.size(), 8u + 4u + 8u + 1u);
   const auto back = decode_payload<AuditProofMsg>(payload);
-  EXPECT_EQ(back.found, 0);
-  EXPECT_TRUE(back.proof.empty());
-  EXPECT_TRUE(back.headers.empty());
+  EXPECT_FALSE(back.bundle.found);
+  EXPECT_TRUE(back.bundle.proof.empty());
+  EXPECT_TRUE(back.bundle.headers.empty());
   expect_all_truncations_throw(msg);
   expect_rejects_trailing_bytes(msg);
 }
 
 TEST(Messages, AuditProofRejectsBlockIndexBeyondHeaders) {
   AuditProofMsg msg = sample_audit_proof();
-  msg.block_index = 2;  // headers.size() == 2, valid indices are 0..1
+  msg.bundle.block_index = 2;  // two headers: valid indices are 0..1
   EXPECT_THROW(decode_payload<AuditProofMsg>(encode_payload(msg)),
                util::SerializeError);
 }
@@ -670,7 +666,7 @@ TEST(Messages, LedgerMessageCorruptionNeverCrashes) {
   const auto proof_payload = encode_payload(sample_audit_proof());
   BlockProposalMsg proposal;
   proposal.round = 5;
-  proposal.block_index = 5;
+  proposal.header.index = 5;
   proposal.executor_sig = sample_sealed_header(5).executor_sig;
   proposal.records = sample_assessment().records;
   const auto proposal_payload = encode_payload(proposal);
@@ -860,10 +856,9 @@ TEST(Messages, AuditProofCachedBundleCarriesHeadersFrom) {
   // A cached proof ships only the header suffix; headers_from records the
   // elision so the worker can splice its verified prefix back in.
   AuditProofMsg msg = sample_audit_proof();
-  msg.headers_from = 4;
+  msg.bundle.headers_from = 4;
   const auto back = decode_payload<AuditProofMsg>(encode_payload(msg));
-  EXPECT_EQ(back.headers_from, 4u);
-  EXPECT_EQ(back.bundle().headers_from, 4u);
+  EXPECT_EQ(back.bundle.headers_from, 4u);
   expect_all_truncations_throw(msg);
   expect_rejects_trailing_bytes(msg);
 }
@@ -954,10 +949,7 @@ std::vector<BlockProposalMsg> canonical(
   const chain::SealedBlockHeader sealed = sample_sealed_header(5);
   BlockProposalMsg msg;
   msg.round = 5;
-  msg.block_index = sealed.header.index;
-  msg.previous_hash = sealed.header.previous_hash;
-  msg.merkle_root = sealed.header.merkle_root;
-  msg.block_hash = sealed.header.block_hash;
+  msg.header = sealed.header;
   msg.executor_sig = sealed.executor_sig;
   msg.records = sample_assessment().records;
   return {msg};
@@ -1029,19 +1021,17 @@ std::vector<ChainSyncResponseMsg> canonical(
   return {sample_chain_sync_response(), refused};
 }
 
-/// Every canonical payload of `Msgs`, in list order; each one must decode
+/// Every canonical payload, in WireMessages order; each one must decode
 /// and re-encode to the same bytes.
-template <typename... Msgs>
 std::vector<std::vector<std::uint8_t>> canonical_payloads() {
   std::vector<std::vector<std::uint8_t>> out;
-  const auto append = [&out]<typename Msg>(std::type_identity<Msg> type) {
+  WireMessages::for_each([&out]<typename Msg>(std::type_identity<Msg> type) {
     for (const Msg& msg : canonical(type)) {
       const auto bytes = encode_payload(msg);
       EXPECT_EQ(encode_payload(decode_payload<Msg>(bytes)), bytes);
       out.push_back(bytes);
     }
-  };
-  (append(std::type_identity<Msgs>{}), ...);
+  });
   return out;
 }
 
@@ -1093,16 +1083,92 @@ TEST(Messages, CanonicalPayloadsMatchGoldenHashes) {
       {"chain_sync_response refused",
        "e0980d095e2fa557ba773510d18e2cefb23c28e79bc798d8590026915e0774f1"},
   };
-  const auto payloads = canonical_payloads<
-      JoinMsg, JoinAckMsg, LeaveMsg, HeartbeatMsg, ModelBroadcastMsg,
-      GradientUploadMsg, SliceAggregateMsg, AssessmentResultMsg,
-      RoundSummaryMsg, BlockProposalMsg, BlockVoteMsg, AuditQueryMsg,
-      AuditProofMsg, ViewChangeMsg, ViewChangeVoteMsg, ChainSyncRequestMsg,
-      ChainSyncResponseMsg>();
+  const auto payloads = canonical_payloads();
   ASSERT_EQ(payloads.size(), std::size(kGolden));
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     EXPECT_EQ(chain::to_hex(chain::sha256(payloads[i])), kGolden[i].second)
         << "canonical payload " << i << " (" << kGolden[i].first << ")";
+  }
+}
+
+// --- Codec properties of every listed message ------------------------------
+
+template <typename List>
+struct GtestTypes;
+template <typename... Msgs>
+struct GtestTypes<MessageList<Msgs...>> {
+  using type = ::testing::Types<Msgs...>;
+};
+
+struct MessageTypeNames {
+  template <typename Msg>
+  static std::string GetName(int) {
+    return message_type_name(Msg::kType);
+  }
+};
+
+template <typename Msg>
+class WireCodec : public ::testing::Test {
+ protected:
+  static std::vector<Msg> instances() {
+    return canonical(std::type_identity<Msg>{});
+  }
+};
+TYPED_TEST_SUITE(WireCodec, GtestTypes<WireMessages>::type, MessageTypeNames);
+
+TYPED_TEST(WireCodec, EveryTruncationThrows) {
+  for (const TypeParam& msg : this->instances()) {
+    expect_all_truncations_throw(msg);
+  }
+}
+
+TYPED_TEST(WireCodec, TrailingByteIsRejected) {
+  for (const TypeParam& msg : this->instances()) {
+    expect_rejects_trailing_bytes(msg);
+  }
+}
+
+TYPED_TEST(WireCodec, RandomByteFlipsFailCleanlyOrDecode) {
+  // A flipped payload must end in SerializeError or a well-formed decode:
+  // any other exception fails the test, and the sanitizer lanes catch UB
+  // or an allocation sized by a corrupted count.
+  util::Rng rng(0xf11b + static_cast<std::uint64_t>(TypeParam::kType));
+  for (const TypeParam& msg : this->instances()) {
+    const auto payload = encode_payload(msg);
+    for (int trial = 0; trial < 200; ++trial) {
+      auto bytes = payload;
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform(0.0, static_cast<double>(bytes.size())));
+      bytes[pos] ^= static_cast<std::uint8_t>(1 + rng.uniform(0.0, 255.0));
+      try {
+        (void)decode_payload<TypeParam>(bytes);
+      } catch (const util::SerializeError&) {
+      }
+    }
+  }
+}
+
+TYPED_TEST(WireCodec, RoundTaggedPayloadLeadsWithRound) {
+  // FaultyTransport windows faults by the round it reads from the first 8
+  // payload bytes of every message leads_with_round() names.
+  EXPECT_EQ(leads_with_round(TypeParam::kType), RoundTagged<TypeParam>);
+  if constexpr (RoundTagged<TypeParam>) {
+    for (const TypeParam& msg : this->instances()) {
+      const auto payload = encode_payload(msg);
+      util::ByteReader reader(payload);
+      EXPECT_EQ(reader.read_u64(), msg.round);
+    }
+  }
+}
+
+TEST(Messages, DataPlaneIsEveryMessageButJoinLeaveAndHeartbeat) {
+  for (std::size_t tag = 0; tag <= kMessageTypeCount + 1; ++tag) {
+    const auto type = static_cast<MessageType>(tag);
+    const bool data_plane =
+        tag >= 1 && tag <= kMessageTypeCount && type != MessageType::kJoin &&
+        type != MessageType::kJoinAck && type != MessageType::kLeave &&
+        type != MessageType::kHeartbeat;
+    EXPECT_EQ(leads_with_round(type), data_plane) << "tag " << tag;
   }
 }
 

@@ -38,7 +38,7 @@ void exercise_transport(Transport& transport) {
   // Typed round trip, including a payload big enough to span several
   // TCP segments.
   const GradientUploadMsg sent = sample_upload(20000);
-  a->send_msg(2, MessageType::kGradientUpload, sent);
+  a->send_msg(2, sent);
   auto env = b->recv(std::chrono::milliseconds(5000));
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->from, 1u);
@@ -47,7 +47,7 @@ void exercise_transport(Transport& transport) {
   EXPECT_EQ(back.gradient, sent.gradient);
 
   // Both directions.
-  b->send_msg(1, MessageType::kHeartbeat, HeartbeatMsg{2, 77, 0});
+  b->send_msg(1, HeartbeatMsg{2, 77, 0});
   env = a->recv(std::chrono::milliseconds(5000));
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->type, MessageType::kHeartbeat);
@@ -55,7 +55,7 @@ void exercise_transport(Transport& transport) {
 
   // FIFO per sender.
   for (std::uint64_t t = 0; t < 10; ++t) {
-    a->send_msg(2, MessageType::kHeartbeat, HeartbeatMsg{1, t, 0});
+    a->send_msg(2, HeartbeatMsg{1, t, 0});
   }
   for (std::uint64_t t = 0; t < 10; ++t) {
     env = b->recv(std::chrono::milliseconds(5000));
@@ -86,7 +86,7 @@ TEST(LoopbackTransport, EndToEnd) {
 TEST(LoopbackTransport, SendToUnopenedKeyThrows) {
   LoopbackTransport transport;
   auto a = transport.open(1);
-  EXPECT_THROW(a->send_msg(99, MessageType::kHeartbeat, HeartbeatMsg{1, 0, 0}),
+  EXPECT_THROW(a->send_msg(99, HeartbeatMsg{1, 0, 0}),
                std::runtime_error);
 }
 
@@ -136,7 +136,7 @@ TEST(TcpTransport, GarbageStreamCountsFrameErrorsAndKeepsEndpointAlive) {
 
   // The poisoned connection must not take the endpoint down: real peers
   // still get through.
-  a->send_msg(2, MessageType::kHeartbeat, HeartbeatMsg{1, 123, 0});
+  a->send_msg(2, HeartbeatMsg{1, 123, 0});
   auto env = b->recv(std::chrono::milliseconds(5000));
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(decode_payload<HeartbeatMsg>(env->payload).token, 123u);
@@ -155,7 +155,7 @@ TEST(TcpTransport, SendRetriesWithBackoffThenFails) {
 
   // Warm the connection, then kill the peer: every reconnect now fails,
   // so the send must burn its whole retry budget and then throw.
-  a->send_msg(2, MessageType::kHeartbeat, HeartbeatMsg{1, 1, 0});
+  a->send_msg(2, HeartbeatMsg{1, 1, 0});
   ASSERT_TRUE(b->recv(std::chrono::milliseconds(5000)).has_value());
   b->close();
 
@@ -170,8 +170,7 @@ TEST(TcpTransport, SendRetriesWithBackoffThenFails) {
   bool threw = false;
   for (int i = 0; i < 50 && !threw; ++i) {
     try {
-      a->send_msg(2, MessageType::kHeartbeat,
-                  HeartbeatMsg{1, static_cast<std::uint64_t>(i + 2), 0});
+      a->send_msg(2, HeartbeatMsg{1, static_cast<std::uint64_t>(i + 2), 0});
     } catch (const std::exception&) {
       threw = true;
     }
@@ -192,8 +191,7 @@ TEST(TcpTransport, HealthyLinkNeverRetries) {
   const std::uint64_t retries_before =
       NetMetrics::global().send_retries->value();
   for (int i = 0; i < 5; ++i) {
-    a->send_msg(2, MessageType::kHeartbeat,
-                HeartbeatMsg{1, static_cast<std::uint64_t>(i), 0});
+    a->send_msg(2, HeartbeatMsg{1, static_cast<std::uint64_t>(i), 0});
   }
   int got = 0;
   while (got < 5 && b->recv(std::chrono::milliseconds(2000)).has_value()) {
