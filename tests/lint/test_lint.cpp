@@ -110,20 +110,6 @@ TEST(FiflLint, R3NnReductionFires) {
   EXPECT_NE(run.output.find("'acc'"), std::string::npos) << run.output;
 }
 
-TEST(FiflLint, R4MsgTypeCoverageFires) {
-  const LintRun run = run_lint(fixture("r4_msgtype") + " --no-headers");
-  EXPECT_EQ(run.exit_code, 1) << run.output;
-  EXPECT_EQ(rule_ids(run.output),
-            (std::multiset<std::string>{"msgtype-coverage"}))
-      << run.output;
-  // The uncovered enumerator is named in the message.
-  EXPECT_NE(run.output.find("MessageType::kPong"), std::string::npos)
-      << run.output;
-  EXPECT_EQ(run.output.find("MessageType::kPing does not appear"),
-            std::string::npos)
-      << run.output;
-}
-
 TEST(FiflLint, R5HeaderHygieneFires) {
   const LintRun run =
       run_lint(fixture("r5_header") + " --cxx " + FIFL_LINT_CXX);

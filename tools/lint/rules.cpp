@@ -258,70 +258,6 @@ void rule_fp_order(const SourceFile& f, const Config& cfg,
   }
 }
 
-void rule_msgtype_coverage(const Config& cfg, std::vector<Finding>& out) {
-  namespace fs = std::filesystem;
-  const fs::path enum_path = cfg.root / cfg.msg_enum;
-  if (!fs::exists(enum_path)) return;  // tree without a net layer
-
-  const SourceFile enum_file = load_source(enum_path, cfg.msg_enum);
-  // Collect enumerators of `enum class MessageType`.
-  std::vector<std::pair<std::string, std::size_t>> enumerators;
-  const std::regex kEnumHead(R"(enum\s+class\s+MessageType\b)");
-  const std::regex kEnumerator(R"(^\s*(k\w+)\s*(?:=|,|$))");
-  bool in_enum = false;
-  for (std::size_t i = 0; i < enum_file.code.size(); ++i) {
-    const std::string& line = enum_file.code[i];
-    if (!in_enum) {
-      if (std::regex_search(line, kEnumHead)) in_enum = true;
-      continue;
-    }
-    if (line.find("};") != std::string::npos) break;
-    std::smatch m;
-    if (std::regex_search(line, m, kEnumerator))
-      enumerators.emplace_back(m[1].str(), i + 1);
-  }
-  if (enumerators.empty()) {
-    out.push_back({cfg.msg_enum, 1, "msgtype-coverage",
-                   "could not parse any enumerators out of enum class "
-                   "MessageType"});
-    return;
-  }
-
-  struct Side {
-    std::string rel;
-    const char* what;
-  };
-  const Side sides[] = {
-      {cfg.msg_impl, "encode/decode switch"},
-      {cfg.msg_test, "codec round-trip test"},
-  };
-  for (const Side& side : sides) {
-    const fs::path p = cfg.root / side.rel;
-    if (!fs::exists(p)) {
-      out.push_back({side.rel, 1, "msgtype-coverage",
-                     std::string("file required by the MessageType coverage "
-                                 "check is missing (") +
-                         side.what + ")"});
-      continue;
-    }
-    const SourceFile sf = load_source(p, side.rel);
-    std::string all_code;
-    for (const std::string& line : sf.code) {
-      all_code += line;
-      all_code += '\n';
-    }
-    for (const auto& [name, line] : enumerators) {
-      if (all_code.find("MessageType::" + name) == std::string::npos) {
-        out.push_back({cfg.msg_enum, line, "msgtype-coverage",
-                       "MessageType::" + name + " does not appear in the " +
-                           side.what + " (" + side.rel +
-                           "); a codec gap diverges replicas at the first "
-                           "unknown frame"});
-      }
-    }
-  }
-}
-
 void rule_header_hygiene(const std::vector<SourceFile>& files,
                          const Config& cfg, Report& report) {
   namespace fs = std::filesystem;

@@ -210,7 +210,6 @@ Report run(const Config& cfg) {
     rule_fp_order(f, cfg, report.findings);
     for (Waiver& w : collect_waivers(f)) report.waivers.push_back(w);
   }
-  rule_msgtype_coverage(cfg, report.findings);
   rule_concurrency(files, cfg, report.findings);
   if (cfg.check_headers && !cfg.cxx.empty())
     rule_header_hygiene(files, cfg, report);
@@ -276,10 +275,9 @@ std::string json_escape(const std::string& s) {
 
 const std::vector<std::string>& all_rule_ids() {
   static const std::vector<std::string> ids = {
-      "unordered-iter",     "nondet-source",  "fp-order",
-      "msgtype-coverage",   "header-hygiene", "lock-order",
-      "cv-wait-predicate",  "guarded-by",     "blocking-under-lock",
-      "waiver-justification"};
+      "unordered-iter",  "nondet-source",       "fp-order",
+      "header-hygiene",  "lock-order",          "cv-wait-predicate",
+      "guarded-by",      "blocking-under-lock", "waiver-justification"};
   return ids;
 }
 
