@@ -2,8 +2,10 @@
 # Sanitizer matrix for the fifl tree. Each lane configures an out-of-tree
 # build with -fsanitize=<kind> and runs the appropriate test selection:
 #
-#   address    full ctest suite under ASan (heap/stack/UAF bugs anywhere)
-#   undefined  full ctest suite under UBSan (signed overflow, misaligned
+#   address    full ctest suite under ASan (heap/stack/UAF bugs anywhere),
+#              then the `kernels`-labelled suites again under
+#              FIFL_KERNEL_ISA=scalar
+#   undefined  the same two runs under UBSan (signed overflow, misaligned
 #              loads, invalid enum casts in the codec paths)
 #   thread     ctest -L "net|chain|obs|core" under TSan (the net stack is
 #              all threads and condition variables, and the chain suites
@@ -56,25 +58,26 @@ run_lane() {
     thread)
       echo '== ctest -L "net|chain|obs|core" (thread) =='
       ctest --test-dir "$build_dir" -L "net|chain|obs|core" --output-on-failure \
-        --timeout 1200 -j 2
+        --no-tests=error --timeout 1200 -j 2
       ;;
     address|undefined)
       echo "== full ctest ($sanitizer) =="
       ASAN_OPTIONS="strict_string_checks=1:detect_stack_use_after_return=1" \
         UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
         ctest --test-dir "$build_dir" --output-on-failure \
-        --timeout 1200 -j "$(nproc)"
+        --no-tests=error --timeout 1200 -j "$(nproc)"
       # Forced-scalar kernel leg: on AVX2 hosts the default dispatch never
       # executes the scalar mirrors' hot loops in the math-heavy suites, so
       # re-run them with FIFL_KERNEL_ISA=scalar to keep both backends under
       # the sanitizer (test_kernels itself compares the two ISAs directly).
+      # The suites carry the `kernels` ctest label (tests/CMakeLists.txt);
+      # --no-tests=error fails the lane if the selection ever comes up empty.
       echo "== kernel suites under FIFL_KERNEL_ISA=scalar ($sanitizer) =="
       FIFL_KERNEL_ISA=scalar \
         ASAN_OPTIONS="strict_string_checks=1:detect_stack_use_after_return=1" \
         UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
         ctest --test-dir "$build_dir" --output-on-failure --timeout 1200 \
-        -R "test_kernels|test_ops|test_conv|test_gradient|test_detection|test_contribution|test_topology" \
-        -j "$(nproc)"
+        --no-tests=error -L kernels -j "$(nproc)"
       ;;
   esac
   echo "ci_sanitize: OK ($sanitizer)"
