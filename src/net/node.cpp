@@ -1672,8 +1672,8 @@ void ServerNode::handle_view_change(const ViewChangeMsg& msg) {
   vote.head = committed_head();
   vote.sig =
       replicated_->registry().sign(replicated_->self(), vote.canonical_payload());
-  send_or_log(*endpoint_, tracer_, topology_.server_key(msg.proposer_index), vote,
-              msg.round);
+  send_or_log(*endpoint_, tracer_, topology_.server_key(msg.proposer_index),
+              vote, msg.round);
   if (!granted) return;
   granted_view_ = msg.view;
   view_ = std::max(view_, msg.view);

@@ -19,8 +19,9 @@
 //
 // (R4, msgtype-coverage, is retired: src/net/messages.hpp makes a
 // MessageType without a name, a listed message without a field list, or a
-// list that misses a tag a compile error, and tests/net/test_messages.cpp
-// runs its codec properties over that same list.)
+// message list that misses a tag up to kLastMessageType a compile error,
+// and tests/net/test_messages.cpp runs its codec properties over that
+// same list.)
 //
 // The concurrency rules (tools/lint/concurrency.cpp) extend the same idea
 // to lock discipline — races and deadlocks are just nondeterminism with
