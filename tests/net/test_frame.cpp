@@ -4,6 +4,9 @@
 // silently accepted message.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+
 #include "net/frame.hpp"
 #include "util/rng.hpp"
 
@@ -16,6 +19,28 @@ std::vector<std::uint8_t> random_payload(util::Rng& rng, std::size_t size) {
     b = static_cast<std::uint8_t>(rng.uniform(0.0, 256.0));
   }
   return payload;
+}
+
+/// The byte-at-a-time CRC-32 (IEEE, reflected 0xEDB88320, one table
+/// lookup per byte) that `crc32` must equal on every input and seed.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data,
+                             std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
 }
 
 TEST(Frame, Crc32KnownVector) {
@@ -32,6 +57,33 @@ TEST(Frame, Crc32Chains) {
   const std::uint32_t whole = crc32(all);
   const std::uint32_t chained = crc32(all.subspan(100), crc32(all.first(100)));
   EXPECT_EQ(whole, chained);
+}
+
+TEST(Frame, Crc32MatchesBytewiseReference) {
+  // Every length 0-300 at every start offset 0-15 (so each alignment of
+  // a multi-byte step meets each tail length), each one also chained
+  // across every split point.
+  util::Rng rng(41);
+  const auto bytes = random_payload(rng, 16 + 300);
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto data = all.subspan(offset, len);
+      const std::uint32_t expected = crc32_bytewise(data);
+      ASSERT_EQ(crc32(data), expected)
+          << "offset " << offset << " length " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc32(data.subspan(split), crc32(data.first(split))),
+                  expected)
+            << "offset " << offset << " length " << len << " split "
+            << split;
+      }
+    }
+  }
+  // One buffer the size of a data-plane frame (a LeNet upload).
+  const auto large = random_payload(rng, 280 * 1024 + 7);
+  EXPECT_EQ(crc32(large), crc32_bytewise(large));
+  EXPECT_EQ(crc32(large, 0x12345678u), crc32_bytewise(large, 0x12345678u));
 }
 
 TEST(Frame, RoundTripWholeBuffer) {
@@ -89,6 +141,108 @@ TEST(Frame, RoundTripUnderRandomChunking) {
       EXPECT_EQ(decoded[f].from, f);
       EXPECT_EQ(decoded[f].payload, payloads[f]);
     }
+  }
+}
+
+/// A stream of ≈280 KB frames (a worker's upload) interleaved with small
+/// control frames, every third one traced, plus the payloads it carries.
+struct DataPlaneStream {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::size_t> payload_offsets;  // where each payload starts
+};
+
+DataPlaneStream data_plane_stream(util::Rng& rng) {
+  DataPlaneStream stream;
+  for (std::uint32_t f = 0; f < 10; ++f) {
+    const std::size_t size =
+        f % 2 == 0
+            ? 280'000 + static_cast<std::size_t>(rng.uniform(0.0, 1000.0))
+            : 1 + static_cast<std::size_t>(rng.uniform(0.0, 200.0));
+    stream.payloads.push_back(random_payload(rng, size));
+    const obs::TraceContext ctx{5, 100 + f, 0};
+    const auto wire = encode_frame(static_cast<std::uint8_t>(1 + f % 7), f,
+                                   stream.payloads.back(),
+                                   f % 3 == 0 ? &ctx : nullptr);
+    stream.payload_offsets.push_back(stream.bytes.size() + wire.size() -
+                                     size);
+    stream.bytes.insert(stream.bytes.end(), wire.begin(), wire.end());
+  }
+  return stream;
+}
+
+/// Feeds `bytes` in chunks of `chunk_size()` bytes, draining every
+/// complete frame after each feed.
+std::vector<Frame> decode_chunked(std::span<const std::uint8_t> bytes,
+                                  const std::function<std::size_t()>& chunk_size) {
+  FrameDecoder decoder;
+  std::vector<Frame> decoded;
+  std::size_t cursor = 0;
+  while (cursor < bytes.size()) {
+    const std::size_t chunk =
+        std::min<std::size_t>(bytes.size() - cursor, chunk_size());
+    decoder.feed(bytes.subspan(cursor, chunk));
+    cursor += chunk;
+    while (auto frame = decoder.next()) decoded.push_back(std::move(*frame));
+  }
+  EXPECT_EQ(decoder.buffered(), 0u);
+  return decoded;
+}
+
+TEST(Frame, DataPlaneFramesSurviveChunkingAndCompaction) {
+  // Large frames push the decoder's consumed prefix past its 4096-byte
+  // compaction threshold, so later frames are parsed and CRC-checked from
+  // a compacted buffer. Chunkings: the TCP reader's 16 KB reads, and
+  // random 1-40,000-byte reads.
+  util::Rng rng(43);
+  const DataPlaneStream stream = data_plane_stream(rng);
+  const std::vector<std::function<std::size_t()>> chunkings = {
+      [] { return std::size_t{16384}; },
+      [&rng] {
+        return 1 + static_cast<std::size_t>(rng.uniform(0.0, 40000.0));
+      },
+  };
+  for (std::size_t c = 0; c < chunkings.size(); ++c) {
+    const auto decoded = decode_chunked(stream.bytes, chunkings[c]);
+    ASSERT_EQ(decoded.size(), stream.payloads.size()) << "chunking " << c;
+    for (std::size_t f = 0; f < decoded.size(); ++f) {
+      EXPECT_EQ(decoded[f].from, f) << "chunking " << c;
+      EXPECT_EQ(decoded[f].type, static_cast<std::uint8_t>(1 + f % 7)) << "chunking " << c;
+      EXPECT_EQ(decoded[f].has_trace, f % 3 == 0) << "chunking " << c;
+      EXPECT_EQ(decoded[f].payload, stream.payloads[f])
+          << "chunking " << c << " frame " << f;
+    }
+  }
+}
+
+TEST(Frame, FlipDeepInLargeFrameIsRejected) {
+  // One flipped byte 200,000 bytes into the seventh frame's payload (a
+  // large frame, reached only after compaction): every frame before it
+  // decodes, then the decoder throws.
+  util::Rng rng(47);
+  DataPlaneStream stream = data_plane_stream(rng);
+  const std::size_t victim = 6;
+  stream.bytes[stream.payload_offsets[victim] + 200'000] ^= 0x04;
+  for (const std::size_t chunk : {std::size_t{16384}, std::size_t{39'999}}) {
+    FrameDecoder decoder;
+    std::size_t delivered = 0;
+    bool threw = false;
+    for (std::size_t cursor = 0; cursor < stream.bytes.size() && !threw;
+         cursor += chunk) {
+      decoder.feed(std::span(stream.bytes)
+                       .subspan(cursor, std::min(chunk, stream.bytes.size() -
+                                                            cursor)));
+      try {
+        while (auto frame = decoder.next()) {
+          EXPECT_EQ(frame->payload, stream.payloads[delivered]);
+          ++delivered;
+        }
+      } catch (const FrameError&) {
+        threw = true;
+      }
+    }
+    EXPECT_TRUE(threw) << "chunk " << chunk;
+    EXPECT_EQ(delivered, victim) << "chunk " << chunk;
   }
 }
 

@@ -1091,6 +1091,109 @@ TEST(Messages, CanonicalPayloadsMatchGoldenHashes) {
   }
 }
 
+/// Every canonical payload framed under its own tag from node 3, in
+/// WireMessages order; `trace` == nullptr gives the untraced layout.
+std::vector<std::vector<std::uint8_t>> canonical_frames(
+    const obs::TraceContext* trace) {
+  std::vector<std::vector<std::uint8_t>> out;
+  WireMessages::for_each([&]<typename Msg>(std::type_identity<Msg> type) {
+    for (const Msg& msg : canonical(type)) {
+      out.push_back(encode_frame(static_cast<std::uint8_t>(Msg::kType), 3,
+                                 encode_payload(msg), trace));
+    }
+  });
+  return out;
+}
+
+TEST(Messages, CanonicalFramesMatchGoldenHashes) {
+  // SHA-256 of encode_frame over the 21 canonical payloads, untraced and
+  // with one fixed trace context (the extension is CRC-covered), recorded
+  // while crc32 still took one table lookup per byte: a change to any
+  // header, extension or checksum byte fails here.
+  struct Golden {
+    const char* name;
+    const char* untraced;
+    const char* traced;
+  };
+  const Golden kGolden[] = {
+      {"join",
+       "51d012be713617667158f8658daa2beecd97981a69fb44edbece4286e10aef92",
+       "97fb6fd9fc4691353aa56f3f1117ba402e5a00f23fdee5c1c4b67c4f03598092"},
+      {"join_ack",
+       "84080a21fc76cd302abc22fdc0521bde60e571082fb43f6f4d91d634258c6a1b",
+       "1d56a509965ffcea91c00574166ffb85884584f5a545452082d19f512e5db2a4"},
+      {"leave",
+       "4d5dc26030cb93b98800c03849aa6c7bc214310cec0fefb3315b30edd475e606",
+       "540fc5a885fde1703e0d1303aa57c776bbb40d91e99c06ab97ef424cd4aacec8"},
+      {"heartbeat",
+       "c737dbfea58c2e410e37a7ad8384efa4870601271f3691826aba85227444007d",
+       "dab5252c17c9f64ddd0b0e7e73f7066eafa2ba67d8d17bbaecab188c35517f65"},
+      {"model_broadcast dense",
+       "2762fca96de0aa910a4a6fc58baf64c741648ea6eb6739462f3f6d5140dfa7f5",
+       "7901e867c7e7418e6fc51506c975feef325b0482a54c8d0510dc0af4da767881"},
+      {"model_broadcast delta",
+       "5094cd78690b4ee865be9f969384548236811ee74d91b9f3d79bb6a6d0a76b30",
+       "155b8acb7ab39b8b27c36528c04db547418925d8bb2682e27902e7c781e31df2"},
+      {"gradient_upload dense",
+       "c0ef16233ec23bbdd7ec5fcd83a5d5c648d3d8efce93419ece95415987aae39f",
+       "fb01f72117050fbbfc636e5e0e7e749ec84580f84911b188f48788fdb4979cf7"},
+      {"gradient_upload top-k",
+       "c7030d41034399c1a69ac21a214a65278e2b75b28d814aa591d233fb00a27755",
+       "f2dd3e8582bafd97e7a96e3b5b1b90635a2c6d650aacf4e345ea358516afd967"},
+      {"slice_aggregate",
+       "9c970625cd13cc25b25e4078c685988ee551dc0d2346b78cf2fc53ef60b99d07",
+       "f5e73256416b6742bab98c92309c4c287af257ab384faf7724b7a2cdf5b2e2a5"},
+      {"assessment_result",
+       "5c49f5dfcd3132b40353d05299e42ef2ffaeb0a83da2177967c54168f3aed50b",
+       "965a6b0e30c1063a9667b6b7fe43be7f5932ec96e6ee0e0a76ae37157ec0f57f"},
+      {"round_summary",
+       "eff4f3a4fcb630e6926964fc3d4e312a5c1fa737e2cddf2a45f430def9750bb5",
+       "b8e1cbb6a899b465b59c9d8ffa5d271d9e78dad24851a949cc5eaadc6f1773e1"},
+      {"block_proposal",
+       "5922f4debef5cc42f8aaaeee575ae0da968ea0b236047292cf38c4bbcd66bef9",
+       "72e1bdea680f6f48a9cce5e87ca9628076aa1bb7704fb5edde4c1adeda1f3ae9"},
+      {"block_vote",
+       "a7eec0e8500db2aa80ebce2f9b36b31ba5867507584d8c764f79ceeed2d9049c",
+       "ea92847079dc258c06dd7bcef4ce6caa1c88efdf73f671cb1ff6fa3273b19235"},
+      {"audit_query",
+       "e0049bd2cc472744a814d06a31076219e0920efaa9224aee150cc6c89165af57",
+       "c29a297926c6e7eff0746b3ae79606754b96226c024b9220dee48ecadc11bb05"},
+      {"audit_proof found",
+       "94f8b588c06f4227eba6f816dd7adcd39e5d1bb18c7a800a3f1bae4e4f8b4639",
+       "a87252c10e5b3da9f6b2104ee65bc427f7d5575044cd2d93fef630a3ce8e0752"},
+      {"audit_proof missing",
+       "9239a9a9376026ef9bde9052a24f8efff285ef16f0caa2fe8fdd29036af97b66",
+       "412d46b26301acbef254867d65dcdbf2942cbd18557abee942ff496986546334"},
+      {"view_change",
+       "af8357a4e50b4bffc866213bc8c9c1d7f2598d9ec2af2bc16225fe60f8adc671",
+       "de8f153fbd9f044cc444de466177b4d09d31157b3f94cfa75ba2f2eafb16153d"},
+      {"view_change_vote",
+       "f6730714ba4175800d1b7c1e57e40497ad0251884e9aec2d935be02ae66147cf",
+       "cec948c4b03fc2054598a63db9ab747b37858759bdbf99b9fc840b79bf4357ee"},
+      {"chain_sync_request",
+       "65cfeea8a21bbff8f6ab7544a398ab8677a70cc231a7dc110c543e5f0dc32844",
+       "2063443db31a35294dd9aa413a4032507ec6433bac99960d5cc0e813ea2e0b6f"},
+      {"chain_sync_response ok",
+       "dfc275aba6fca32cf89d3fe3545a7ae2876297cf3d1feecc6f8c0c48f3334655",
+       "960053e3faa4499051b77442db8a971a8f47eb224492b8272e1b6986292986d7"},
+      {"chain_sync_response refused",
+       "eb87bcb305fdc10716ddfa604c311a4b5e122a4f0edee1079a9d543d7b22f2e5",
+       "fcfc4df1e8b2a348822f1ddfeb6131d30fdf5a883bd4892de502786d2486f38a"},
+  };
+  const obs::TraceContext trace{0x0123456789ABCDEFull, (7ull << 40) | 42,
+                                (7ull << 40) | 1};
+  const auto untraced = canonical_frames(nullptr);
+  const auto traced = canonical_frames(&trace);
+  ASSERT_EQ(untraced.size(), std::size(kGolden));
+  ASSERT_EQ(traced.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < untraced.size(); ++i) {
+    EXPECT_EQ(chain::to_hex(chain::sha256(untraced[i])), kGolden[i].untraced)
+        << "untraced frame " << i << " (" << kGolden[i].name << ")";
+    EXPECT_EQ(chain::to_hex(chain::sha256(traced[i])), kGolden[i].traced)
+        << "traced frame " << i << " (" << kGolden[i].name << ")";
+  }
+}
+
 // --- Codec properties of every listed message ------------------------------
 
 template <typename List>

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 namespace fifl::util {
@@ -52,6 +53,63 @@ TEST(Serialize, SpecialFloatsPreserveBits) {
   EXPECT_TRUE(std::isinf(r.read_f32()));
   const float neg_zero = r.read_f32();
   EXPECT_EQ(std::signbit(neg_zero), true);
+}
+
+/// The wire form of a u64 count followed by `bits` as f32 words, built one
+/// little-endian byte at a time.
+std::vector<std::uint8_t> f32_array_reference(
+    const std::vector<std::uint32_t>& bits) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(bits.size()) >> (8 * i)));
+  }
+  for (const std::uint32_t word : bits) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+    }
+  }
+  return out;
+}
+
+TEST(Serialize, FloatArrayKeepsEveryBitPattern) {
+  const std::vector<std::uint32_t> bits{
+      0x7FC00000u, 0x7FC12345u, 0xFFEDCBA9u,  // quiet NaNs, payload bits
+      0x7F800001u, 0x7FA5A5A5u, 0xFF800123u,  // signalling NaNs
+      0x00000000u, 0x80000000u,               // +0, -0
+      0x7F800000u, 0xFF800000u,               // +inf, -inf
+      0x00000001u, 0x007FFFFFu, 0x80400000u,  // subnormals
+      0x3F800000u, 0xC0490FDBu, 0x12345678u,  // normal values
+  };
+  std::vector<float> xs(bits.size());
+  std::memcpy(xs.data(), bits.data(), bits.size() * sizeof(float));
+
+  // A leading byte puts the array at an odd offset in the buffer.
+  ByteWriter w;
+  w.write_u8(0xA5);
+  w.write_f32_array(xs);
+  std::vector<std::uint8_t> expected{0xA5};
+  const auto reference = f32_array_reference(bits);
+  expected.insert(expected.end(), reference.begin(), reference.end());
+  EXPECT_EQ(w.buffer(), expected);
+
+  ByteReader r(w.buffer());
+  EXPECT_EQ(r.read_u8(), 0xA5);
+  const std::vector<float> back = r.read_f32_array();
+  ASSERT_EQ(back.size(), bits.size());
+  std::vector<std::uint32_t> back_bits(back.size());
+  std::memcpy(back_bits.data(), back.data(), back.size() * sizeof(float));
+  EXPECT_EQ(back_bits, bits);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Serialize, EmptyFloatArrayRoundTrips) {
+  ByteWriter w;
+  w.write_f32_array({});
+  EXPECT_EQ(w.buffer(), f32_array_reference({}));
+  ByteReader r(w.buffer());
+  EXPECT_TRUE(r.read_f32_array().empty());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Serialize, TruncatedReadThrows) {
