@@ -8,17 +8,30 @@ namespace fifl::net {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-16 tables: kCrcTables[0] is the classic byte table for the
+// reflected IEEE polynomial 0xEDB88320; kCrcTables[k][b] is the CRC
+// contribution of byte b followed by k zero bytes, so one step folds 16
+// input bytes with 16 independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 std::uint32_t load_u32le(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -35,10 +48,26 @@ std::uint64_t load_u64le(const std::uint8_t* p) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 16; n -= 16, p += 16) {
+    const std::uint32_t a = load_u32le(p) ^ c;
+    const std::uint32_t b = load_u32le(p + 4);
+    const std::uint32_t d = load_u32le(p + 8);
+    const std::uint32_t e = load_u32le(p + 12);
+    c = t[15][a & 0xFFu] ^ t[14][(a >> 8) & 0xFFu] ^
+        t[13][(a >> 16) & 0xFFu] ^ t[12][a >> 24] ^
+        t[11][b & 0xFFu] ^ t[10][(b >> 8) & 0xFFu] ^
+        t[9][(b >> 16) & 0xFFu] ^ t[8][b >> 24] ^
+        t[7][d & 0xFFu] ^ t[6][(d >> 8) & 0xFFu] ^
+        t[5][(d >> 16) & 0xFFu] ^ t[4][d >> 24] ^
+        t[3][e & 0xFFu] ^ t[2][(e >> 8) & 0xFFu] ^
+        t[1][(e >> 16) & 0xFFu] ^ t[0][e >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -54,7 +54,13 @@ void ByteWriter::write_string(const std::string& s) {
 
 void ByteWriter::write_f32_array(std::span<const float> xs) {
   write_u64(xs.size());
-  for (float x : xs) write_f32(x);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The host layout is the wire layout: one bulk copy.
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(xs.data());
+    buffer_.insert(buffer_.end(), bytes, bytes + xs.size_bytes());
+  } else {
+    for (float x : xs) write_f32(x);
+  }
 }
 
 void ByteWriter::write_bytes(std::span<const std::uint8_t> bytes) {
@@ -145,7 +151,14 @@ std::vector<float> ByteReader::read_f32_array() {
                          std::to_string(remaining()) + " bytes remain");
   }
   std::vector<float> xs(static_cast<std::size_t>(n));
-  for (auto& x : xs) x = read_f32();
+  if constexpr (std::endian::native == std::endian::little) {
+    // The wire layout is the host layout: one bulk copy.
+    const std::size_t bytes = xs.size() * sizeof(float);
+    if (bytes != 0) std::memcpy(xs.data(), data_.data() + cursor_, bytes);
+    cursor_ += bytes;
+  } else {
+    for (auto& x : xs) x = read_f32();
+  }
   return xs;
 }
 
