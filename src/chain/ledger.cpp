@@ -104,9 +104,11 @@ std::uint64_t Ledger::seal_block() {
       0, leaves.size(),
       [&](std::size_t k) { leaves[k] = block.records[k].digest(); },
       /*grain=*/1);
-  block.merkle_root = MerkleTree(std::move(leaves)).root();
+  MerkleTree tree(std::move(leaves));
+  block.merkle_root = tree.root();
   block.block_hash = block.compute_hash();
   blocks_.push_back(std::move(block));
+  newest_tree_ = std::move(tree);
   return blocks_.back().index;
 }
 
@@ -159,6 +161,9 @@ std::optional<AuditRecord> Ledger::latest(RecordKind kind,
 MerkleProof Ledger::prove_record(std::size_t block_index,
                                  std::size_t record_index) const {
   const Block& block = blocks_.at(block_index);
+  if (block_index + 1 == blocks_.size()) {
+    return newest_tree_->prove(record_index);
+  }
   std::vector<Digest> leaves;
   leaves.reserve(block.records.size());
   for (const auto& rec : block.records) leaves.push_back(rec.digest());

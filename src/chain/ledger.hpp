@@ -81,7 +81,9 @@ class Ledger {
   std::optional<AuditRecord> latest(RecordKind kind, NodeId subject) const;
 
   /// Membership proof that sealed record `record_index` of block
-  /// `block_index` is committed by that block's Merkle root.
+  /// `block_index` is committed by that block's Merkle root. The newest
+  /// block's proofs come from the tree kept at seal time; older blocks
+  /// rebuild theirs from the record digests.
   MerkleProof prove_record(std::size_t block_index,
                            std::size_t record_index) const;
 
@@ -97,6 +99,7 @@ class Ledger {
   const KeyRegistry* registry_;
   std::vector<Block> blocks_;
   std::vector<AuditRecord> pending_;
+  std::optional<MerkleTree> newest_tree_;  // blocks_.back()'s tree
 };
 
 }  // namespace fifl::chain

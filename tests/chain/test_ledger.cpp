@@ -93,6 +93,50 @@ TEST_F(LedgerTest, MerkleProofForRecord) {
                                   block.merkle_root));
 }
 
+/// Checks every record's proof in block `b` against a tree built afresh
+/// from the block's records, and against the block's root.
+void expect_proofs_match_fresh_tree(const Ledger& ledger, std::size_t b) {
+  const Block& block = ledger.block(b);
+  std::vector<Digest> leaves;
+  for (const AuditRecord& rec : block.records) leaves.push_back(rec.digest());
+  const MerkleTree fresh(leaves);
+  ASSERT_EQ(fresh.root(), block.merkle_root) << "block " << b;
+  for (std::size_t i = 0; i < block.records.size(); ++i) {
+    const MerkleProof proof = ledger.prove_record(b, i);
+    const MerkleProof expected = fresh.prove(i);
+    ASSERT_EQ(proof.size(), expected.size()) << "block " << b << " record " << i;
+    for (std::size_t s = 0; s < proof.size(); ++s) {
+      EXPECT_EQ(proof[s].sibling, expected[s].sibling)
+          << "block " << b << " record " << i << " step " << s;
+      EXPECT_EQ(proof[s].sibling_on_left, expected[s].sibling_on_left)
+          << "block " << b << " record " << i << " step " << s;
+    }
+    EXPECT_TRUE(MerkleTree::verify(leaves[i], proof, block.merkle_root))
+        << "block " << b << " record " << i;
+  }
+  EXPECT_THROW((void)ledger.prove_record(b, block.records.size()),
+               std::out_of_range);
+}
+
+TEST_F(LedgerTest, ProofsMatchAFreshTreeForNewestAndOlderBlocks) {
+  // Odd and even record counts, so both tree shapes (the duplicated last
+  // node and the full level) are served from the kept tree.
+  const std::size_t widths[] = {7, 32, 1, 12};
+  for (std::size_t b = 0; b < std::size(widths); ++b) {
+    for (std::size_t i = 0; i < widths[b]; ++i) {
+      ledger_.append(RecordKind::kReputation, b,
+                     static_cast<NodeId>(i % 5), static_cast<NodeId>(b % 5),
+                     0.01 * static_cast<double>(i));
+    }
+    ledger_.seal_block();
+    // The newest block (kept tree) and every older one (rebuilt), also
+    // once this block is no longer the newest.
+    for (std::size_t older = 0; older <= b; ++older) {
+      expect_proofs_match_fresh_tree(ledger_, older);
+    }
+  }
+}
+
 TEST_F(LedgerTest, AuditValueFlagsDeviatingExecutors) {
   // Server 0 records the true value for worker 1; server 2 records a
   // manipulated value.
