@@ -521,15 +521,17 @@ void WorkerNode::handle_broadcast(const ModelBroadcastMsg& msg,
     }
     msg.delta.apply_to(params_);
   } else {
-    const nn::ParsedCheckpoint parsed = nn::parse_checkpoint(msg.checkpoint);
-    params_ = parsed.parameters;
+    params_ = nn::parse_checkpoint(msg.checkpoint).parameters;
   }
   has_params_ = true;
   params_round_ = msg.round;
 
   fl::Upload upload = worker_->make_upload(params_);
 
-  GradientUploadMsg out;
+  // Built in place as the cached upload: a duplicate broadcast re-sends
+  // these exact bytes.
+  GradientUploadMsg& out = cached_upload_;
+  out = GradientUploadMsg{};
   out.round = msg.round;
   out.worker = endpoint_->address();
   out.samples = upload.samples;
@@ -543,7 +545,6 @@ void WorkerNode::handle_broadcast(const ModelBroadcastMsg& msg,
   }
   has_trained_ = true;
   last_trained_round_ = msg.round;
-  cached_upload_ = out;
   for (NodeKey server : topology_.server_keys()) {
     // One unreachable server must not kill the worker: the lead's quorum
     // path absorbs the missing upload.
