@@ -53,18 +53,18 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   for (; n >= 16; n -= 16, p += 16) {
-    const std::uint32_t a = load_u32le(p) ^ c;
-    const std::uint32_t b = load_u32le(p + 4);
-    const std::uint32_t d = load_u32le(p + 8);
-    const std::uint32_t e = load_u32le(p + 12);
-    c = t[15][a & 0xFFu] ^ t[14][(a >> 8) & 0xFFu] ^
-        t[13][(a >> 16) & 0xFFu] ^ t[12][a >> 24] ^
-        t[11][b & 0xFFu] ^ t[10][(b >> 8) & 0xFFu] ^
-        t[9][(b >> 16) & 0xFFu] ^ t[8][b >> 24] ^
-        t[7][d & 0xFFu] ^ t[6][(d >> 8) & 0xFFu] ^
-        t[5][(d >> 16) & 0xFFu] ^ t[4][d >> 24] ^
-        t[3][e & 0xFFu] ^ t[2][(e >> 8) & 0xFFu] ^
-        t[1][(e >> 16) & 0xFFu] ^ t[0][e >> 24];
+    const std::uint32_t w0 = load_u32le(p) ^ c;
+    const std::uint32_t w1 = load_u32le(p + 4);
+    const std::uint32_t w2 = load_u32le(p + 8);
+    const std::uint32_t w3 = load_u32le(p + 12);
+    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+        t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^
+        t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^
+        t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
+        t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
   }
   for (; n > 0; --n, ++p) {
     c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);

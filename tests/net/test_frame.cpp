@@ -112,6 +112,24 @@ TEST(Frame, RoundTripEmptyPayload) {
   EXPECT_TRUE(frame->payload.empty());
 }
 
+/// Feeds `bytes` in chunks of `chunk_size()` bytes, appending every
+/// complete frame to `decoded` after each feed; a FrameError propagates
+/// with the frames decoded before it kept.
+void decode_chunked(std::span<const std::uint8_t> bytes,
+                    const std::function<std::size_t()>& chunk_size,
+                    std::vector<Frame>& decoded) {
+  FrameDecoder decoder;
+  std::size_t cursor = 0;
+  while (cursor < bytes.size()) {
+    const std::size_t chunk =
+        std::min<std::size_t>(bytes.size() - cursor, chunk_size());
+    decoder.feed(bytes.subspan(cursor, chunk));
+    cursor += chunk;
+    while (auto frame = decoder.next()) decoded.push_back(std::move(*frame));
+  }
+  EXPECT_EQ(decoder.buffered(), 0u);
+}
+
 TEST(Frame, RoundTripUnderRandomChunking) {
   util::Rng rng(13);
   for (int trial = 0; trial < 50; ++trial) {
@@ -125,17 +143,11 @@ TEST(Frame, RoundTripUnderRandomChunking) {
       stream.insert(stream.end(), wire.begin(), wire.end());
     }
 
-    FrameDecoder decoder;
     std::vector<Frame> decoded;
-    std::size_t cursor = 0;
-    while (cursor < stream.size()) {
-      const std::size_t chunk = std::min<std::size_t>(
-          stream.size() - cursor,
-          1 + static_cast<std::size_t>(rng.uniform(0.0, 37.0)));
-      decoder.feed(std::span(stream).subspan(cursor, chunk));
-      cursor += chunk;
-      while (auto frame = decoder.next()) decoded.push_back(std::move(*frame));
-    }
+    decode_chunked(
+        stream,
+        [&rng] { return 1 + static_cast<std::size_t>(rng.uniform(0.0, 37.0)); },
+        decoded);
     ASSERT_EQ(decoded.size(), payloads.size());
     for (std::size_t f = 0; f < payloads.size(); ++f) {
       EXPECT_EQ(decoded[f].from, f);
@@ -171,43 +183,32 @@ DataPlaneStream data_plane_stream(util::Rng& rng) {
   return stream;
 }
 
-/// Feeds `bytes` in chunks of `chunk_size()` bytes, draining every
-/// complete frame after each feed.
-std::vector<Frame> decode_chunked(std::span<const std::uint8_t> bytes,
-                                  const std::function<std::size_t()>& chunk_size) {
-  FrameDecoder decoder;
-  std::vector<Frame> decoded;
-  std::size_t cursor = 0;
-  while (cursor < bytes.size()) {
-    const std::size_t chunk =
-        std::min<std::size_t>(bytes.size() - cursor, chunk_size());
-    decoder.feed(bytes.subspan(cursor, chunk));
-    cursor += chunk;
-    while (auto frame = decoder.next()) decoded.push_back(std::move(*frame));
-  }
-  EXPECT_EQ(decoder.buffered(), 0u);
-  return decoded;
-}
-
-TEST(Frame, DataPlaneFramesSurviveChunkingAndCompaction) {
-  // Large frames push the decoder's consumed prefix past its 4096-byte
-  // compaction threshold, so later frames are parsed and CRC-checked from
-  // a compacted buffer. Chunkings: the TCP reader's 16 KB reads, and
-  // random 1-40,000-byte reads.
-  util::Rng rng(43);
-  const DataPlaneStream stream = data_plane_stream(rng);
-  const std::vector<std::function<std::size_t()>> chunkings = {
+/// The TCP reader's 16 KB reads, and random 1-40,000-byte reads.
+std::vector<std::function<std::size_t()>> data_plane_chunkings(
+    util::Rng& rng) {
+  return {
       [] { return std::size_t{16384}; },
       [&rng] {
         return 1 + static_cast<std::size_t>(rng.uniform(0.0, 40000.0));
       },
   };
+}
+
+TEST(Frame, DataPlaneFramesSurviveChunkingAndCompaction) {
+  // Large frames push the decoder's consumed prefix past its 4096-byte
+  // compaction threshold, so later frames are parsed and CRC-checked from
+  // a compacted buffer.
+  util::Rng rng(43);
+  const DataPlaneStream stream = data_plane_stream(rng);
+  const auto chunkings = data_plane_chunkings(rng);
   for (std::size_t c = 0; c < chunkings.size(); ++c) {
-    const auto decoded = decode_chunked(stream.bytes, chunkings[c]);
+    std::vector<Frame> decoded;
+    decode_chunked(stream.bytes, chunkings[c], decoded);
     ASSERT_EQ(decoded.size(), stream.payloads.size()) << "chunking " << c;
     for (std::size_t f = 0; f < decoded.size(); ++f) {
       EXPECT_EQ(decoded[f].from, f) << "chunking " << c;
-      EXPECT_EQ(decoded[f].type, static_cast<std::uint8_t>(1 + f % 7)) << "chunking " << c;
+      EXPECT_EQ(decoded[f].type, static_cast<std::uint8_t>(1 + f % 7))
+          << "chunking " << c;
       EXPECT_EQ(decoded[f].has_trace, f % 3 == 0) << "chunking " << c;
       EXPECT_EQ(decoded[f].payload, stream.payloads[f])
           << "chunking " << c << " frame " << f;
@@ -223,26 +224,17 @@ TEST(Frame, FlipDeepInLargeFrameIsRejected) {
   DataPlaneStream stream = data_plane_stream(rng);
   const std::size_t victim = 6;
   stream.bytes[stream.payload_offsets[victim] + 200'000] ^= 0x04;
-  for (const std::size_t chunk : {std::size_t{16384}, std::size_t{39'999}}) {
-    FrameDecoder decoder;
-    std::size_t delivered = 0;
-    bool threw = false;
-    for (std::size_t cursor = 0; cursor < stream.bytes.size() && !threw;
-         cursor += chunk) {
-      decoder.feed(std::span(stream.bytes)
-                       .subspan(cursor, std::min(chunk, stream.bytes.size() -
-                                                            cursor)));
-      try {
-        while (auto frame = decoder.next()) {
-          EXPECT_EQ(frame->payload, stream.payloads[delivered]);
-          ++delivered;
-        }
-      } catch (const FrameError&) {
-        threw = true;
-      }
+  const auto chunkings = data_plane_chunkings(rng);
+  for (std::size_t c = 0; c < chunkings.size(); ++c) {
+    std::vector<Frame> decoded;
+    EXPECT_THROW(decode_chunked(stream.bytes, chunkings[c], decoded),
+                 FrameError)
+        << "chunking " << c;
+    ASSERT_EQ(decoded.size(), victim) << "chunking " << c;
+    for (std::size_t f = 0; f < victim; ++f) {
+      EXPECT_EQ(decoded[f].payload, stream.payloads[f])
+          << "chunking " << c << " frame " << f;
     }
-    EXPECT_TRUE(threw) << "chunk " << chunk;
-    EXPECT_EQ(delivered, victim) << "chunk " << chunk;
   }
 }
 
