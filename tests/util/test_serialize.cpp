@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 namespace fifl::util {
@@ -73,43 +73,41 @@ std::vector<std::uint8_t> f32_array_reference(
 }
 
 TEST(Serialize, FloatArrayKeepsEveryBitPattern) {
-  const std::vector<std::uint32_t> bits{
-      0x7FC00000u, 0x7FC12345u, 0xFFEDCBA9u,  // quiet NaNs, payload bits
-      0x7F800001u, 0x7FA5A5A5u, 0xFF800123u,  // signalling NaNs
-      0x00000000u, 0x80000000u,               // +0, -0
-      0x7F800000u, 0xFF800000u,               // +inf, -inf
-      0x00000001u, 0x007FFFFFu, 0x80400000u,  // subnormals
-      0x3F800000u, 0xC0490FDBu, 0x12345678u,  // normal values
+  const std::vector<std::vector<std::uint32_t>> cases{
+      {
+          0x7FC00000u, 0x7FC12345u, 0xFFEDCBA9u,  // quiet NaNs, payload bits
+          0x7F800001u, 0x7FA5A5A5u, 0xFF800123u,  // signalling NaNs
+          0x00000000u, 0x80000000u,               // +0, -0
+          0x7F800000u, 0xFF800000u,               // +inf, -inf
+          0x00000001u, 0x007FFFFFu, 0x80400000u,  // subnormals
+          0x3F800000u, 0xC0490FDBu, 0x12345678u,  // normal values
+      },
+      {},  // an empty array
   };
-  std::vector<float> xs(bits.size());
-  std::memcpy(xs.data(), bits.data(), bits.size() * sizeof(float));
+  for (const auto& bits : cases) {
+    std::vector<float> xs;
+    for (const std::uint32_t word : bits) {
+      xs.push_back(std::bit_cast<float>(word));
+    }
 
-  // A leading byte puts the array at an odd offset in the buffer.
-  ByteWriter w;
-  w.write_u8(0xA5);
-  w.write_f32_array(xs);
-  std::vector<std::uint8_t> expected{0xA5};
-  const auto reference = f32_array_reference(bits);
-  expected.insert(expected.end(), reference.begin(), reference.end());
-  EXPECT_EQ(w.buffer(), expected);
+    // A leading byte puts the array at an odd offset in the buffer.
+    ByteWriter w;
+    w.write_u8(0xA5);
+    w.write_f32_array(xs);
+    std::vector<std::uint8_t> expected{0xA5};
+    const auto reference = f32_array_reference(bits);
+    expected.insert(expected.end(), reference.begin(), reference.end());
+    EXPECT_EQ(w.buffer(), expected) << bits.size() << " elements";
 
-  ByteReader r(w.buffer());
-  EXPECT_EQ(r.read_u8(), 0xA5);
-  const std::vector<float> back = r.read_f32_array();
-  ASSERT_EQ(back.size(), bits.size());
-  std::vector<std::uint32_t> back_bits(back.size());
-  std::memcpy(back_bits.data(), back.data(), back.size() * sizeof(float));
-  EXPECT_EQ(back_bits, bits);
-  EXPECT_TRUE(r.exhausted());
-}
-
-TEST(Serialize, EmptyFloatArrayRoundTrips) {
-  ByteWriter w;
-  w.write_f32_array({});
-  EXPECT_EQ(w.buffer(), f32_array_reference({}));
-  ByteReader r(w.buffer());
-  EXPECT_TRUE(r.read_f32_array().empty());
-  EXPECT_TRUE(r.exhausted());
+    ByteReader r(w.buffer());
+    EXPECT_EQ(r.read_u8(), 0xA5);
+    std::vector<std::uint32_t> back_bits;
+    for (const float x : r.read_f32_array()) {
+      back_bits.push_back(std::bit_cast<std::uint32_t>(x));
+    }
+    EXPECT_EQ(back_bits, bits);
+    EXPECT_TRUE(r.exhausted());
+  }
 }
 
 TEST(Serialize, TruncatedReadThrows) {
