@@ -150,9 +150,17 @@ for b in seal:
     assert b.get("items_per_second", 0) > 0, \
         f"{b['name']} missing records/sec (items_per_second)"
     assert b.get("real_time", 0) > 0, f"{b['name']} missing seal latency"
-assert any(b["name"].startswith("BM_AuditProveAndVerify")
-           for b in chain["benchmarks"]), \
-    "micro_chain_throughput json has no BM_AuditProveAndVerify entries"
+audit = [b for b in chain["benchmarks"]
+         if b["name"].startswith("BM_AuditProveAndVerify")]
+assert audit, "micro_chain_throughput json has no BM_AuditProveAndVerify entries"
+# A worker's anchored audit certifies the same number of headers at every
+# chain length; a count that grows means verification went back to
+# re-checking the chain from genesis.
+certified = {b["name"]: b.get("headers_verified", 0) for b in audit}
+assert all(n > 0 for n in certified.values()), \
+    f"BM_AuditProveAndVerify missing headers_verified counters: {certified}"
+assert len(set(certified.values())) == 1, \
+    f"anchored audit cost grows with the chain: headers_verified {certified}"
 proof = [b for b in chain["benchmarks"]
          if b["name"].startswith("BM_AuditProofBytes")]
 assert proof, "micro_chain_throughput json has no BM_AuditProofBytes entries"

@@ -22,6 +22,43 @@ struct ReplMetrics {
     return m;
   }
 };
+
+/// Why `sealed` is not a self-consistent quorum certificate — its hash
+/// does not recompute, the executor signature or a vote does not verify
+/// under a server key, a signer repeats, or fewer than a strict majority
+/// of the `servers` signed — or nullopt when it is one.
+std::optional<std::string> certificate_fault(const SealedBlockHeader& sealed,
+                                             const KeyRegistry& registry,
+                                             std::uint32_t workers,
+                                             std::uint32_t servers) {
+  const auto is_server = [&](NodeId node) {
+    return node >= workers && node < workers + servers;
+  };
+  if (sealed.header.compute_hash() != sealed.header.block_hash) {
+    return "has a block hash that does not recompute";
+  }
+  const std::string payload = sealed.header.canonical_payload();
+  if (!is_server(sealed.executor_sig.signer) ||
+      !registry.verify(sealed.executor_sig, payload)) {
+    return "has an invalid executor signature";
+  }
+  std::vector<NodeId> signers{sealed.executor_sig.signer};
+  for (const Signature& vote : sealed.votes) {
+    if (!is_server(vote.signer) ||
+        std::find(signers.begin(), signers.end(), vote.signer) !=
+            signers.end() ||
+        !registry.verify(vote, payload)) {
+      return "carries an invalid vote";
+    }
+    signers.push_back(vote.signer);
+  }
+  const std::size_t quorum = servers / 2 + 1;
+  if (signers.size() < quorum) {
+    return "is below quorum (" + std::to_string(signers.size()) + " of " +
+           std::to_string(quorum) + ")";
+  }
+  return std::nullopt;
+}
 }  // namespace
 
 std::string BlockHeader::canonical_payload() const {
@@ -82,11 +119,7 @@ KeyRegistry ReplicatedLedger::make_registry(std::uint64_t seed,
 
 const SealedBlockHeader& ReplicatedLedger::propose(std::uint64_t block_index) {
   const Block& block = ledger_->block(static_cast<std::size_t>(block_index));
-  if (sealed_.size() <= block_index) {
-    sealed_.resize(static_cast<std::size_t>(block_index) + 1);
-    committed_.resize(static_cast<std::size_t>(block_index) + 1, false);
-  }
-  SealedBlockHeader& entry = sealed_[static_cast<std::size_t>(block_index)];
+  SealedBlockHeader& entry = slot(block_index);
   const BlockHeader header = header_of(block);
   // A takeover executor re-proposing a block this replica already holds
   // committed must not destroy the quorum certificate: until the re-votes
@@ -97,8 +130,7 @@ const SealedBlockHeader& ReplicatedLedger::propose(std::uint64_t block_index) {
   // same canonical payload) and any prior vote by this node is absorbed
   // into its new executor signature.
   std::vector<Signature> carried;
-  if (committed_[static_cast<std::size_t>(block_index)] &&
-      entry.header == header) {
+  if (committed(block_index) && entry.header == header) {
     carried = std::move(entry.votes);
     if (entry.executor_sig.signer != self_) {
       carried.push_back(entry.executor_sig);
@@ -114,10 +146,7 @@ const SealedBlockHeader& ReplicatedLedger::propose(std::uint64_t block_index) {
         [&](const Signature& v) { return v.signer == sig.signer; });
     if (!dup) entry.votes.push_back(sig);
   }
-  if (quorum() <= 1) {
-    committed_[static_cast<std::size_t>(block_index)] = true;
-    ReplMetrics::get().committed.inc();
-  }
+  if (quorum() <= 1) mark_committed(block_index);
   return entry;
 }
 
@@ -140,13 +169,9 @@ std::optional<Signature> ReplicatedLedger::verify_and_vote(
     return std::nullopt;
   }
   const Signature vote = registry_.sign(self_, header.canonical_payload());
-  if (sealed_.size() <= header.index) {
-    sealed_.resize(static_cast<std::size_t>(header.index) + 1);
-    committed_.resize(static_cast<std::size_t>(header.index) + 1, false);
-  }
   // The follower's endorsed view: the header it checked, the executor's
   // certificate seed, and its own vote.
-  SealedBlockHeader& entry = sealed_[static_cast<std::size_t>(header.index)];
+  SealedBlockHeader& entry = slot(header.index);
   entry.header = header;
   entry.executor_sig = executor_sig;
   entry.votes.assign(1, vote);
@@ -155,11 +180,7 @@ std::optional<Signature> ReplicatedLedger::verify_and_vote(
   // certificate (M <= 3): mark the block committed locally so followers
   // can serve audit proofs and ChainSync without waiting to observe the
   // other followers' votes.
-  if (!committed_[static_cast<std::size_t>(header.index)] &&
-      1 + entry.votes.size() >= quorum()) {
-    committed_[static_cast<std::size_t>(header.index)] = true;
-    ReplMetrics::get().committed.inc();
-  }
+  if (1 + entry.votes.size() >= quorum()) mark_committed(header.index);
   return vote;
 }
 
@@ -185,11 +206,7 @@ bool ReplicatedLedger::record_vote(std::uint64_t block_index,
   if (!registry_.verify(vote, entry.header.canonical_payload())) return false;
   entry.votes.push_back(vote);
   ReplMetrics::get().votes.inc();
-  if (!committed_[static_cast<std::size_t>(block_index)] &&
-      1 + entry.votes.size() >= quorum()) {
-    committed_[static_cast<std::size_t>(block_index)] = true;
-    ReplMetrics::get().committed.inc();
-  }
+  if (1 + entry.votes.size() >= quorum()) mark_committed(block_index);
   return true;
 }
 
@@ -198,10 +215,24 @@ bool ReplicatedLedger::committed(std::uint64_t block_index) const {
          committed_[static_cast<std::size_t>(block_index)];
 }
 
-std::size_t ReplicatedLedger::committed_count() const {
-  std::size_t n = 0;
-  while (n < committed_.size() && committed_[n]) ++n;
-  return n;
+SealedBlockHeader& ReplicatedLedger::slot(std::uint64_t block_index) {
+  if (sealed_.size() <= block_index) {
+    sealed_.resize(static_cast<std::size_t>(block_index) + 1);
+    committed_.resize(static_cast<std::size_t>(block_index) + 1, false);
+  }
+  return sealed_[static_cast<std::size_t>(block_index)];
+}
+
+void ReplicatedLedger::mark_committed(std::uint64_t block_index) {
+  const auto i = static_cast<std::size_t>(block_index);
+  if (committed_[i]) return;
+  committed_[i] = true;
+  ReplMetrics::get().committed.inc();
+  // A block never leaves the committed set, so the prefix only grows.
+  while (committed_prefix_ < committed_.size() &&
+         committed_[committed_prefix_]) {
+    ++committed_prefix_;
+  }
 }
 
 const SealedBlockHeader* ReplicatedLedger::sealed(
@@ -252,35 +283,10 @@ AuditProofBundle ReplicatedLedger::prove(RecordKind kind, std::uint64_t round,
 void ReplicatedLedger::adopt_committed(const SealedBlockHeader& sealed) {
   const std::uint64_t index = sealed.header.index;
   // The certificate must be self-consistent and carry a genuine quorum.
-  if (sealed.header.compute_hash() != sealed.header.block_hash) {
-    throw std::runtime_error(
-        "ReplicatedLedger: adopted header's hash does not recompute (block " +
-        std::to_string(index) + ")");
-  }
-  const std::string payload = sealed.header.canonical_payload();
-  if (!is_server_id(sealed.executor_sig.signer) ||
-      !registry_.verify(sealed.executor_sig, payload)) {
-    throw std::runtime_error(
-        "ReplicatedLedger: adopted block " + std::to_string(index) +
-        " has an invalid executor signature");
-  }
-  std::vector<NodeId> signers{sealed.executor_sig.signer};
-  for (const Signature& vote : sealed.votes) {
-    if (!is_server_id(vote.signer) ||
-        std::find(signers.begin(), signers.end(), vote.signer) !=
-            signers.end() ||
-        !registry_.verify(vote, payload)) {
-      throw std::runtime_error(
-          "ReplicatedLedger: adopted block " + std::to_string(index) +
-          " carries an invalid vote");
-    }
-    signers.push_back(vote.signer);
-  }
-  if (signers.size() < quorum()) {
-    throw std::runtime_error(
-        "ReplicatedLedger: adopted block " + std::to_string(index) +
-        " is below quorum (" + std::to_string(signers.size()) + " of " +
-        std::to_string(quorum()) + ")");
+  if (const auto fault =
+          certificate_fault(sealed, registry_, workers_, servers_)) {
+    throw std::runtime_error("ReplicatedLedger: adopted block " +
+                             std::to_string(index) + " " + *fault);
   }
   // The replayed local block must be the very block the quorum certified;
   // a mismatch means the sync peer served a fork.
@@ -290,72 +296,86 @@ void ReplicatedLedger::adopt_committed(const SealedBlockHeader& sealed) {
         "ReplicatedLedger: adopted block " + std::to_string(index) +
         " contradicts the replayed local ledger (fork)");
   }
-  if (sealed_.size() <= index) {
-    sealed_.resize(static_cast<std::size_t>(index) + 1);
-    committed_.resize(static_cast<std::size_t>(index) + 1, false);
-  }
-  sealed_[static_cast<std::size_t>(index)] = sealed;
-  if (!committed_[static_cast<std::size_t>(index)]) {
-    committed_[static_cast<std::size_t>(index)] = true;
-    ReplMetrics::get().committed.inc();
+  slot(index) = sealed;
+  mark_committed(index);
+}
+
+AuditVerifier::AuditVerifier(std::uint64_t key_seed, std::uint32_t workers,
+                             std::uint32_t servers)
+    : registry_(ReplicatedLedger::make_registry(key_seed, workers, servers)),
+      workers_(workers), servers_(servers) {
+  if (servers_ == 0) {
+    throw std::invalid_argument("AuditVerifier: servers must be >= 1");
   }
 }
 
-bool verify_audit_proof(const AuditProofBundle& bundle,
-                        const KeyRegistry& registry, std::uint32_t workers,
-                        std::uint32_t servers) {
-  if (!bundle.found || servers == 0) return false;
-  // Only genesis-anchored chains verify: a cached bundle (headers_from
-  // != 0) must have its elided prefix spliced back in by the auditor
-  // before it reaches this check.
-  if (bundle.headers_from != 0) return false;
-  if (bundle.headers.empty() ||
-      bundle.block_index >= bundle.headers.size()) {
-    return false;
-  }
-  const std::size_t quorum = servers / 2 + 1;
-  const auto is_server = [&](NodeId node) {
-    return node >= workers && node < workers + servers;
-  };
+const AuditVerifier::KeptBlock* AuditVerifier::kept(
+    std::uint64_t index) const {
+  const std::uint64_t oldest = verified_ - kept_.size();
+  if (index < oldest || index >= verified_) return nullptr;
+  return &kept_[static_cast<std::size_t>(index - oldest)];
+}
 
-  // 1. Every header is internally consistent, hash-linked to its
-  //    predecessor, and carries a verifying quorum certificate.
+bool AuditVerifier::verify(const AuditProofBundle& bundle) {
+  if (!bundle.found) return false;
+  const std::uint64_t from = bundle.headers_from;
+  const std::vector<SealedBlockHeader>& headers = bundle.headers;
+  const std::uint64_t tip = from + headers.size();
+
+  // 1. The shipped headers hash-link to the verified chain: the first one
+  //    to the kept block before it (genesis' zero hash for block 0), which
+  //    a suffix starting past the anchor (a gap) or too far behind it does
+  //    not have. A kept header must be the verified one field for field
+  //    (the link pins its previous hash); every other header carries a
+  //    recomputing hash and a valid quorum certificate.
   Digest prev{};
-  prev.fill(0);
-  for (std::size_t i = 0; i < bundle.headers.size(); ++i) {
-    const SealedBlockHeader& sealed = bundle.headers[i];
-    const BlockHeader& h = sealed.header;
-    if (h.index != i) return false;
-    if (h.previous_hash != prev) return false;
-    if (h.compute_hash() != h.block_hash) return false;
-    const std::string payload = h.canonical_payload();
-    if (!is_server(sealed.executor_sig.signer) ||
-        !registry.verify(sealed.executor_sig, payload)) {
+  if (from > 0) {
+    const KeptBlock* parent = kept(from - 1);
+    if (parent == nullptr) return false;
+    prev = parent->block_hash;
+  }
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    const BlockHeader& h = headers[i].header;
+    if (h.index != from + i || h.previous_hash != prev) return false;
+    if (const KeptBlock* known = kept(h.index)) {
+      if (h.block_hash != known->block_hash ||
+          h.merkle_root != known->merkle_root) {
+        return false;
+      }
+    } else if (certificate_fault(headers[i], registry_, workers_,
+                                 servers_)) {
       return false;
     }
-    std::vector<NodeId> signers{sealed.executor_sig.signer};
-    for (const Signature& vote : sealed.votes) {
-      if (!is_server(vote.signer)) return false;
-      if (std::find(signers.begin(), signers.end(), vote.signer) !=
-          signers.end()) {
-        return false;  // a signer may certify a block once
-      }
-      if (!registry.verify(vote, payload)) return false;
-      signers.push_back(vote.signer);
-    }
-    if (signers.size() < quorum) return false;
     prev = h.block_hash;
   }
 
-  // 2. The record is genuine and committed under its block's Merkle root.
-  if (!registry.verify(bundle.record.signature,
-                       bundle.record.canonical_payload())) {
+  // 2. The record is genuine and committed under its block's Merkle root:
+  //    a shipped header's, or a kept one for a block the bundle elided.
+  if (!registry_.verify(bundle.record.signature,
+                        bundle.record.canonical_payload())) {
     return false;
   }
-  const Digest& root =
-      bundle.headers[static_cast<std::size_t>(bundle.block_index)]
-          .header.merkle_root;
-  return MerkleTree::verify(bundle.record.digest(), bundle.proof, root);
+  const std::uint64_t b = bundle.block_index;
+  const Digest* root = nullptr;
+  if (b >= from && b < tip) {
+    root = &headers[static_cast<std::size_t>(b - from)].header.merkle_root;
+  } else if (const KeptBlock* known = kept(b)) {
+    root = &known->merkle_root;
+  }
+  if (root == nullptr ||
+      !MerkleTree::verify(bundle.record.digest(), bundle.proof, *root)) {
+    return false;
+  }
+
+  // 3. Move the anchor to the tip, forgetting blocks no late answer can
+  //    still need.
+  for (std::uint64_t i = verified_; i < tip; ++i) {
+    const BlockHeader& h = headers[static_cast<std::size_t>(i - from)].header;
+    kept_.push_back({h.block_hash, h.merkle_root});
+    if (kept_.size() > kKeptBlocks) kept_.pop_front();
+  }
+  verified_ = std::max(verified_, tip);
+  return true;
 }
 
 }  // namespace fifl::chain

@@ -15,11 +15,14 @@
 //
 // Workers audit without trusting any single server: an AuditProofBundle
 // carries one record, its Merkle inclusion proof, and the *signed* header
-// chain up to the tip. verify_audit_proof() recomputes every block hash
-// from header fields alone, walks the hash links, and checks the executor
-// signature + vote quorum on each header against an independently derived
-// KeyRegistry replica — so a server that forges a record must also forge a
-// majority of server keys to produce a verifying bundle.
+// chain up to the committed tip — or only its suffix past the headers the
+// worker already verified. An AuditVerifier recomputes each new block hash
+// from header fields alone, walks the hash links back to its anchor (the
+// last header it verified; genesis for a fresh verifier), and checks the
+// executor signature + vote quorum on each new header against an
+// independently derived KeyRegistry replica — so a server that forges a
+// record must also forge a majority of server keys to produce a verifying
+// bundle, and a worker's audit costs O(new headers), not O(chain).
 //
 // Identity layout matches fifl::net: worker i signs as NodeId i, server j
 // as NodeId workers + j (the lead, j = 0, coincides with the engine's task
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -69,7 +73,7 @@ struct SealedBlockHeader {
 
 /// Everything a worker needs to verify one of its own records offline:
 /// the record, its Merkle path into block `block_index`, and the signed
-/// header chain from genesis to the committed tip.
+/// header chain up to the committed tip.
 struct AuditProofBundle {
   bool found = false;
   AuditRecord record;
@@ -77,9 +81,10 @@ struct AuditProofBundle {
   std::uint64_t record_index = 0;
   MerkleProof proof;
   /// Absolute chain index of headers[0]. Nonzero means the server elided
-  /// the prefix the auditor already verified (proof caching); the auditor
-  /// must splice its cached headers back in before verify_audit_proof,
-  /// which only accepts genesis-anchored bundles (headers_from == 0).
+  /// the prefix the auditor said it already verified (proof caching): the
+  /// first shipped header must then hash-link to the auditor's
+  /// AuditVerifier anchor, and a record in an elided block proves into a
+  /// Merkle root the verifier kept.
   std::uint64_t headers_from = 0;
   std::vector<SealedBlockHeader> headers;
 };
@@ -133,7 +138,7 @@ class ReplicatedLedger {
   bool committed(std::uint64_t block_index) const;
   /// Committed blocks form a prefix (votes for block k only arrive after
   /// every replica sealed k, in order); this is the prefix length.
-  std::size_t committed_count() const;
+  std::size_t committed_count() const noexcept { return committed_prefix_; }
   /// The quorum certificate for a proposed block (committed or pending);
   /// nullptr when never proposed. Followers hold their endorsed view here
   /// (their own vote only).
@@ -148,7 +153,9 @@ class ReplicatedLedger {
 
   /// Proof-caching variant: ships only headers [from_header, tip) —
   /// clamped to the committed prefix — and records the elision in
-  /// bundle.headers_from. With from_header == 0 it is exactly prove().
+  /// bundle.headers_from, for an auditor whose AuditVerifier already
+  /// verified headers [0, from_header). With from_header == 0 it is
+  /// exactly prove().
   AuditProofBundle prove(RecordKind kind, std::uint64_t round, NodeId subject,
                          std::uint64_t from_header) const;
 
@@ -165,6 +172,11 @@ class ReplicatedLedger {
   bool is_server_id(NodeId node) const noexcept {
     return node >= workers_ && node < workers_ + servers_;
   }
+  /// The entry for `block_index`, growing the tables to hold it.
+  SealedBlockHeader& slot(std::uint64_t block_index);
+  /// Marks a held block committed (once: the metric counts blocks) and
+  /// extends the committed prefix past it.
+  void mark_committed(std::uint64_t block_index);
 
   const Ledger* ledger_;
   KeyRegistry registry_;
@@ -175,14 +187,65 @@ class ReplicatedLedger {
   /// practice (one proposal per round, in round order).
   std::vector<SealedBlockHeader> sealed_;
   std::vector<bool> committed_;
+  /// Length of the committed prefix of committed_.
+  std::size_t committed_prefix_ = 0;
 };
 
-/// Full offline verification of an audit bundle against an independent
-/// registry replica: record signature, Merkle inclusion, recomputed block
-/// hashes, hash-chain links, executor signatures and vote quorums on every
-/// header. Trusts nothing in the bundle itself.
-bool verify_audit_proof(const AuditProofBundle& bundle,
-                        const KeyRegistry& registry, std::uint32_t workers,
-                        std::uint32_t servers);
+/// A worker's offline audit-proof checker. It owns an independent PKI
+/// replica (ReplicatedLedger::make_registry from the shared key seed, never
+/// received over the wire) and an anchor: headers [0, verified_count())
+/// are verified, the last of them is the anchor, and the hash and Merkle
+/// root of the newest kKeptBlocks verified blocks are kept. A fresh
+/// verifier is anchored at genesis, so its first bundle must carry the
+/// chain from block 0. Trusts nothing in a bundle itself.
+///
+/// Not thread-safe: one verifier belongs to one worker's event loop.
+class AuditVerifier {
+ public:
+  /// Verified blocks whose hash and Merkle root stay kept behind the
+  /// anchor. A late answer (a retried round-r proof landing after round
+  /// r+1's) starts, or proves a record, behind the anchor and checks out
+  /// against these; one more than kKeptBlocks behind cannot be linked and
+  /// fails. 64 blocks cover every retry window the failover tests drive
+  /// (one round) with room to spare, at 64 bytes a block.
+  static constexpr std::size_t kKeptBlocks = 64;
+
+  AuditVerifier(std::uint64_t key_seed, std::uint32_t workers,
+                std::uint32_t servers);
+
+  /// Checks one bundle: the record's signature and its Merkle inclusion,
+  /// every shipped header's index, and hash links from the block before
+  /// the first shipped header (the anchor, a kept block, or genesis)
+  /// through the last one. A shipped header that is kept must equal the
+  /// verified one — a different hash there is a fork —, and every other
+  /// header must recompute its hash and carry a valid executor signature
+  /// plus a distinct-signer vote quorum. Returns true and moves the anchor
+  /// to the bundle's tip when that lies past it; a rejected bundle, or an
+  /// old one that ends at or below the anchor, leaves the anchor where it
+  /// is. Rejects a bundle whose headers start past the anchor (a gap), or
+  /// whose first header's parent or record block is no longer kept.
+  bool verify(const AuditProofBundle& bundle);
+
+  /// Number of headers verified so far — the
+  /// AuditQueryMsg::last_verified_index an auditor sends, so that a server
+  /// ships only the headers past the anchor.
+  std::uint64_t verified_count() const noexcept { return verified_; }
+
+ private:
+  struct KeptBlock {
+    Digest block_hash{};
+    Digest merkle_root{};
+  };
+  /// The kept block at chain index `index`, or nullptr when it is past
+  /// the anchor or no longer kept.
+  const KeptBlock* kept(std::uint64_t index) const;
+
+  KeyRegistry registry_;
+  std::uint32_t workers_;
+  std::uint32_t servers_;
+  std::uint64_t verified_ = 0;
+  /// Blocks [verified_ - kept_.size(), verified_); back() is the anchor.
+  std::deque<KeptBlock> kept_;
+};
 
 }  // namespace fifl::chain

@@ -153,7 +153,7 @@ void fields(IO& io, M& m) {
   io(m.headers);
   // The shipped headers cover chain indices [headers_from, headers_from +
   // n); the proved block must lie under that tip (its header is either
-  // shipped here or already in the querier's cache).
+  // shipped here or one the querier already verified).
   const std::uint64_t n = m.headers.size();
   io.require(m.headers_from <= std::numeric_limits<std::uint64_t>::max() - n &&
                  m.block_index < m.headers_from + n,
@@ -451,9 +451,9 @@ void fields(IO& io, M& m) {
   io(m.vote);
 }
 
-/// Worker -> lead: "prove my (kind) record for round `round` is on the
-/// committed chain". `token` is echoed in the answer so the worker can
-/// pair responses with outstanding queries.
+/// Worker -> server (the lead first): "prove my (kind) record for round
+/// `round` is on the committed chain". `token` is echoed in the answer so
+/// the worker can pair responses with outstanding queries.
 struct AuditQueryMsg {
   static constexpr MessageType kType = MessageType::kAuditQuery;
   std::uint64_t round = 0;
@@ -461,8 +461,9 @@ struct AuditQueryMsg {
   std::uint64_t token = 0;
   std::uint8_t kind = 0;  // chain::RecordKind tag
   /// Proof caching: the worker has already verified committed headers
-  /// [0, last_verified_index), so the server ships only headers from that
-  /// index to the tip (O(1) per-round proof bytes instead of O(rounds)).
+  /// [0, last_verified_index) (chain::AuditVerifier::verified_count), so
+  /// the server ships only headers from that index to the tip — O(1)
+  /// per-round proof bytes and verification work instead of O(rounds).
   std::uint64_t last_verified_index = 0;
 };
 
@@ -476,12 +477,13 @@ void fields(IO& io, M& m) {
   io(m.last_verified_index);
 }
 
-/// Lead -> worker: the full chain::AuditProofBundle — record, Merkle
+/// Server -> worker: the chain::AuditProofBundle — record, Merkle
 /// inclusion path, and the quorum-certified header chain — which the
-/// worker verifies against its own KeyRegistry replica
-/// (chain::verify_audit_proof), trusting no single server. A cached query
+/// worker's chain::AuditVerifier checks against its own KeyRegistry
+/// replica, trusting no single server. A cached query
 /// (AuditQueryMsg::last_verified_index) gets a bundle whose headers start
-/// at headers_from; the worker splices its verified prefix back in.
+/// at headers_from; the verifier links the first of them to its anchor and
+/// certifies only the headers past it.
 struct AuditProofMsg {
   static constexpr MessageType kType = MessageType::kAuditProof;
   std::uint64_t round = 0;

@@ -282,6 +282,9 @@ WorkerNode::WorkerNode(std::unique_ptr<fl::Worker> worker,
     throw std::invalid_argument(
         "WorkerNode: codec mask must include kDense (negotiation fallback)");
   }
+  if (audit_.enabled) {
+    auditor_.emplace(audit_.key_seed, topology_.workers, topology_.servers);
+  }
   tracer_ = NodeTracer::for_node(endpoint_->address());
 }
 
@@ -297,9 +300,9 @@ void WorkerNode::send_audit_query(std::uint64_t round, std::uint32_t server,
   query.worker = endpoint_->address();
   query.token = round;
   query.kind = static_cast<std::uint8_t>(chain::RecordKind::kReputation);
-  // Proof caching: the server only ships the committed headers this
-  // worker has not verified yet.
-  query.last_verified_index = verified_headers_.size();
+  // Proof caching: the server only ships the committed headers past this
+  // worker's verified anchor.
+  query.last_verified_index = auditor_->verified_count();
   send_or_log(*endpoint_, tracer_, topology_.server_key(server), query, round,
               parent_span);
 }
@@ -413,41 +416,15 @@ void WorkerNode::run() {
         break;
       }
       case MessageType::kAuditProof: {
-        auto msg = decode_payload<AuditProofMsg>(env->payload);
+        const auto msg = decode_payload<AuditProofMsg>(env->payload);
         if (audit_.enabled && msg.worker == endpoint_->address()) {
-          if (!audit_registry_) {
-            // Independent PKI replica: derived from the shared seed, never
-            // received over the wire, so a lying server cannot also hand
-            // the worker the keys that would make the lie check out.
-            audit_registry_.emplace(chain::ReplicatedLedger::make_registry(
-                audit_.key_seed, topology_.workers, topology_.servers));
-          }
-          chain::AuditProofBundle& bundle = msg.bundle;
-          if (bundle.headers_from != 0 &&
-              bundle.headers_from <= verified_headers_.size()) {
-            // Cached-proof splice: the server elided the prefix this
-            // worker already verified; rebuild the genesis-anchored chain
-            // from the local cache before verification.
-            std::vector<chain::SealedBlockHeader> full(
-                verified_headers_.begin(),
-                verified_headers_.begin() +
-                    static_cast<std::ptrdiff_t>(bundle.headers_from));
-            full.insert(full.end(), bundle.headers.begin(),
-                        bundle.headers.end());
-            bundle.headers = std::move(full);
-            bundle.headers_from = 0;
-          }
+          const chain::AuditProofBundle& bundle = msg.bundle;
           const bool verified =
               bundle.found && bundle.record.subject == endpoint_->address() &&
               bundle.record.round == msg.token &&
               bundle.record.kind == chain::RecordKind::kReputation &&
-              chain::verify_audit_proof(bundle, *audit_registry_,
-                                        topology_.workers,
-                                        topology_.servers);
+              auditor_->verify(bundle);
           audit_outcomes_.push_back({msg.token, verified});
-          if (verified && bundle.headers.size() > verified_headers_.size()) {
-            verified_headers_ = bundle.headers;
-          }
           if (!verified) {
             util::log_warn() << "net: worker " << endpoint_->address()
                              << " audit proof for round " << msg.token

@@ -240,9 +240,12 @@ class WorkerNode {
   NodeTimeouts timeouts_;
   std::uint32_t supported_codecs_;
   WorkerAuditConfig audit_;
-  /// Lazily built PKI replica for verifying audit proofs; rounds learned
-  /// from the JoinAck gate the final-round query.
-  std::optional<chain::KeyRegistry> audit_registry_;
+  /// Audit-enabled runs only: this worker's PKI replica and verified
+  /// header anchor. Its verified_count() is the proof-cache watermark each
+  /// query carries (AuditQueryMsg::last_verified_index), so servers ship
+  /// only the headers past the anchor.
+  std::optional<chain::AuditVerifier> auditor_;
+  /// Rounds learned from the JoinAck; gates the final-round query.
   std::uint64_t total_rounds_ = 0;
   std::vector<WorkerAuditOutcome> audit_outcomes_;
   /// Resolved once at construction; null members when FIFL_TRACE_DIR is
@@ -272,10 +275,6 @@ class WorkerNode {
   bool has_trained_ = false;
   std::uint64_t last_trained_round_ = 0;
   GradientUploadMsg cached_upload_;
-  /// Audit-proof cache: committed headers [0, size) this worker already
-  /// verified; AuditQueryMsg::last_verified_index lets servers ship only
-  /// the suffix.
-  std::vector<chain::SealedBlockHeader> verified_headers_;
   /// The one in-flight audit round trip and its retry state.
   struct PendingAudit {
     std::uint64_t round = 0;

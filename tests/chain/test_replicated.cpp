@@ -4,7 +4,14 @@
 // contract), one ReplicatedLedger per server identity on top.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "chain/ledger.hpp"
 #include "chain/replicated.hpp"
@@ -56,6 +63,60 @@ void commit_round(Replica& lead, Replica& f1, Replica& f2,
     lead.repl.record_vote(round, sealed.header.block_hash, *vote);
   }
   ASSERT_TRUE(lead.repl.committed(round));
+}
+
+/// A worker's verifier: its PKI is derived from the public seed alone,
+/// nothing shared with the provers.
+AuditVerifier fresh_verifier() {
+  return AuditVerifier(kSeed, kWorkers, kServers);
+}
+
+/// A verifier that has verified headers [0, anchor) of `lead`'s committed
+/// chain, as a worker does after auditing round anchor - 1 while that
+/// block was the tip.
+AuditVerifier anchored_at(const Replica& lead, std::uint64_t anchor) {
+  AuditVerifier verifier = fresh_verifier();
+  if (anchor == 0) return verifier;
+  AuditProofBundle bundle =
+      lead.repl.prove(RecordKind::kReputation, anchor - 1, 0);
+  bundle.headers.resize(static_cast<std::size_t>(anchor));
+  EXPECT_TRUE(verifier.verify(bundle)) << "anchor " << anchor;
+  EXPECT_EQ(verifier.verified_count(), anchor);
+  return verifier;
+}
+
+/// Three replicas of one chain, committed round by round.
+struct Federation {
+  Replica lead{0}, f1{1}, f2{2};
+
+  void commit(std::uint64_t round) { commit_round(lead, f1, f2, round); }
+  void commit_rounds(std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t r = from; r < to; ++r) commit(r);
+  }
+};
+
+/// Commits a round whose records differ from append_round's: every server
+/// signs it, so it forks a chain with genuine quorum certificates — the
+/// chain equivocating servers could serve.
+void commit_forked_round(Federation& fed, std::uint64_t round) {
+  for (Replica* replica : {&fed.lead, &fed.f1, &fed.f2}) {
+    replica->ledger.append(RecordKind::kReputation, round, 0, kPublisher,
+                           0.999);
+    for (NodeId w = 1; w < kWorkers; ++w) {
+      replica->ledger.append(RecordKind::kReputation, round, w, kPublisher,
+                             0.5);
+    }
+    replica->ledger.seal_block();
+  }
+  const SealedBlockHeader& sealed = fed.lead.repl.propose(round);
+  const auto& records = fed.lead.ledger.block(round).records;
+  for (Replica* follower : {&fed.f1, &fed.f2}) {
+    const auto vote = follower->repl.verify_and_vote(
+        sealed.header, sealed.executor_sig, records);
+    ASSERT_TRUE(vote.has_value());
+    fed.lead.repl.record_vote(round, sealed.header.block_hash, *vote);
+  }
+  ASSERT_TRUE(fed.lead.repl.committed(round));
 }
 
 TEST(ReplicatedLedger, RegistriesFromSameSeedAreInterchangeable) {
@@ -210,10 +271,9 @@ TEST(ReplicatedLedger, AuditProofVerifiesAgainstIndependentRegistry) {
     EXPECT_EQ(bundle.headers.size(), 3u);  // chain pins the committed tip
     // The verifier's registry is a fresh derivation — nothing shared with
     // the prover beyond the public seed.
-    const KeyRegistry verifier_pki =
-        ReplicatedLedger::make_registry(kSeed, kWorkers, kServers);
-    EXPECT_TRUE(
-        verify_audit_proof(bundle, verifier_pki, kWorkers, kServers));
+    AuditVerifier verifier = fresh_verifier();
+    EXPECT_TRUE(verifier.verify(bundle));
+    EXPECT_EQ(verifier.verified_count(), 3u);
   }
 }
 
@@ -237,50 +297,50 @@ TEST(ReplicatedLedger, TamperedBundlesFailVerification) {
       ReplicatedLedger::make_registry(kSeed, kWorkers, kServers);
   const AuditProofBundle good = lead.repl.prove(RecordKind::kReward, 1, 2);
   ASSERT_TRUE(good.found);
-  ASSERT_TRUE(verify_audit_proof(good, pki, kWorkers, kServers));
+  ASSERT_TRUE(fresh_verifier().verify(good));
 
   {  // Forged record value: Merkle inclusion breaks.
     AuditProofBundle bad = good;
     bad.record.value *= 2.0;
-    EXPECT_FALSE(verify_audit_proof(bad, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(bad));
   }
   {  // Dropped vote: the block's certificate falls below quorum.
     AuditProofBundle bad = good;
     bad.headers[bad.block_index].votes.clear();
-    EXPECT_FALSE(verify_audit_proof(bad, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(bad));
   }
   {  // Duplicated voter padding the certificate does not count twice.
     AuditProofBundle bad = good;
     auto& votes = bad.headers[bad.block_index].votes;
     votes = {votes[0], votes[0]};
-    EXPECT_FALSE(verify_audit_proof(bad, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(bad));
   }
   {  // Rewritten header field: the recomputed block hash disagrees.
     AuditProofBundle bad = good;
     bad.headers[1].header.merkle_root[0] ^= 0x01;
-    EXPECT_FALSE(verify_audit_proof(bad, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(bad));
   }
   {  // Severed hash link between consecutive headers.
     AuditProofBundle bad = good;
     bad.headers[1].header.previous_hash[0] ^= 0x01;
-    EXPECT_FALSE(verify_audit_proof(bad, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(bad));
   }
   {  // Truncated chain hiding the block the record claims to live in.
     AuditProofBundle bad = good;
     bad.block_index = 5;
-    EXPECT_FALSE(verify_audit_proof(bad, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(bad));
   }
   {  // Worker-signed "executor" signature: wrong identity class.
     AuditProofBundle bad = good;
     bad.headers[bad.block_index].executor_sig = pki.sign(
         0, bad.headers[bad.block_index].header.canonical_payload());
-    EXPECT_FALSE(verify_audit_proof(bad, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(bad));
   }
   {  // A not-found bundle never verifies.
     AuditProofBundle missing =
         lead.repl.prove(RecordKind::kReward, 9, 2);
     EXPECT_FALSE(missing.found);
-    EXPECT_FALSE(verify_audit_proof(missing, pki, kWorkers, kServers));
+    EXPECT_FALSE(fresh_verifier().verify(missing));
   }
 }
 
@@ -322,36 +382,291 @@ TEST(ReplicatedLedger, FollowerSelfCommitsOnObservedQuorum) {
   EXPECT_EQ(f1.repl.sealed(0)->votes.size(), 2u);
 }
 
-TEST(ReplicatedLedger, CachedProofSplicesBackToGenesisAnchor) {
-  // prove(from_header) ships only the suffix; the auditor splices its
-  // cached prefix back in and the spliced bundle verifies exactly like a
-  // full one. The unspliced (headers_from != 0) bundle must be rejected.
-  Replica lead(0), f1(1), f2(2);
-  for (std::uint64_t r = 0; r < 4; ++r) commit_round(lead, f1, f2, r);
-  const KeyRegistry pki =
-      ReplicatedLedger::make_registry(kSeed, kWorkers, kServers);
+// ---------------------------------------------------------------------------
+// Anchored verification: a worker's AuditVerifier checks only the headers
+// past the last one it verified. These pin what a suffix must satisfy and
+// that anchored verification accepts exactly what genesis verification
+// accepts.
+// ---------------------------------------------------------------------------
 
-  const AuditProofBundle full = lead.repl.prove(RecordKind::kReward, 3, 1);
+TEST(AuditVerifier, CachedSuffixVerifiesOnlyFromItsAnchor) {
+  // prove(from_header) ships only headers [from_header, tip). The cached
+  // suffix verifies against a verifier anchored at from_header, never
+  // against a fresh (genesis-anchored) one.
+  Federation fed;
+  fed.commit_rounds(0, 4);
+
+  const AuditProofBundle full = fed.lead.repl.prove(RecordKind::kReward, 3, 1);
   ASSERT_TRUE(full.found);
   ASSERT_EQ(full.headers.size(), 4u);
+  EXPECT_TRUE(fresh_verifier().verify(full));
 
-  AuditProofBundle cached = lead.repl.prove(RecordKind::kReward, 3, 1, 2);
+  const AuditProofBundle cached =
+      fed.lead.repl.prove(RecordKind::kReward, 3, 1, 2);
   ASSERT_TRUE(cached.found);
   EXPECT_EQ(cached.headers_from, 2u);
   ASSERT_EQ(cached.headers.size(), 2u);  // only the suffix travels
-  EXPECT_FALSE(verify_audit_proof(cached, pki, kWorkers, kServers));
+  AuditVerifier genesis = fresh_verifier();
+  EXPECT_FALSE(genesis.verify(cached));
+  EXPECT_EQ(genesis.verified_count(), 0u);
+  AuditVerifier anchored = anchored_at(fed.lead, 2);
+  EXPECT_TRUE(anchored.verify(cached));
+  EXPECT_EQ(anchored.verified_count(), 4u);
 
-  cached.headers.insert(cached.headers.begin(), full.headers.begin(),
-                        full.headers.begin() + 2);
-  cached.headers_from = 0;
-  EXPECT_TRUE(verify_audit_proof(cached, pki, kWorkers, kServers));
-
-  // A from_header beyond the tip clamps instead of underflowing.
+  // A from_header beyond the tip clamps instead of underflowing: no header
+  // travels, and the record proves into the Merkle root the anchored
+  // verifier kept for block 3.
   const AuditProofBundle clamped =
-      lead.repl.prove(RecordKind::kReward, 3, 1, 99);
+      fed.lead.repl.prove(RecordKind::kReward, 3, 1, 99);
   ASSERT_TRUE(clamped.found);
   EXPECT_EQ(clamped.headers_from, 4u);
   EXPECT_TRUE(clamped.headers.empty());
+  EXPECT_FALSE(fresh_verifier().verify(clamped));
+  EXPECT_TRUE(anchored.verify(clamped));
+  EXPECT_EQ(anchored.verified_count(), 4u);
+}
+
+TEST(AuditVerifier, RejectsSuffixNotLinkedToAnchor) {
+  // Equivocating servers certify a chain that forks at block 2. A worker
+  // anchored at 3 on the genuine chain is served the fork's suffix
+  // [3, 5): its first header links to the fork's block 2, not the anchor.
+  Federation genuine, forked;
+  genuine.commit_rounds(0, 5);
+  forked.commit_rounds(0, 2);
+  commit_forked_round(forked, 2);
+  forked.commit_rounds(3, 5);
+
+  AuditVerifier verifier = anchored_at(genuine.lead, 3);
+  const AuditProofBundle wrong =
+      forked.lead.repl.prove(RecordKind::kReputation, 4, 1, 3);
+  ASSERT_TRUE(wrong.found);
+  EXPECT_FALSE(verifier.verify(wrong));
+  EXPECT_EQ(verifier.verified_count(), 3u);  // the anchor did not move
+  // The same fork verifies for a fresh verifier — its certificates are
+  // genuine — so only the anchor link rejected it.
+  EXPECT_TRUE(fresh_verifier().verify(
+      forked.lead.repl.prove(RecordKind::kReputation, 4, 1)));
+  EXPECT_TRUE(verifier.verify(
+      genuine.lead.repl.prove(RecordKind::kReputation, 4, 1, 3)));
+  EXPECT_EQ(verifier.verified_count(), 5u);
+}
+
+TEST(AuditVerifier, RejectsGapPastAnchor) {
+  Federation fed;
+  fed.commit_rounds(0, 5);
+  AuditVerifier verifier = anchored_at(fed.lead, 2);
+  // Headers from 3 on leave block 2 unverified: nothing links across.
+  const AuditProofBundle gap =
+      fed.lead.repl.prove(RecordKind::kReputation, 4, 1, 3);
+  ASSERT_EQ(gap.headers_from, 3u);
+  EXPECT_FALSE(verifier.verify(gap));
+  EXPECT_EQ(verifier.verified_count(), 2u);
+  EXPECT_TRUE(verifier.verify(
+      fed.lead.repl.prove(RecordKind::kReputation, 4, 1, 2)));
+  EXPECT_EQ(verifier.verified_count(), 5u);
+}
+
+TEST(AuditVerifier, RejectsForkAtAnchor) {
+  // The fork replaces block 2, the anchor itself: the shipped header 2
+  // links to the kept block 1 and carries a genuine certificate, but its
+  // hash differs from the verified block 2.
+  Federation genuine, forked;
+  genuine.commit_rounds(0, 4);
+  forked.commit_rounds(0, 2);
+  commit_forked_round(forked, 2);
+  forked.commit(3);
+
+  AuditVerifier verifier = anchored_at(genuine.lead, 3);
+  const AuditProofBundle fork =
+      forked.lead.repl.prove(RecordKind::kReputation, 3, 1, 2);
+  ASSERT_EQ(fork.headers_from, 2u);
+  EXPECT_FALSE(verifier.verify(fork));
+  EXPECT_EQ(verifier.verified_count(), 3u);
+  // The genuine chain over the same span still verifies.
+  EXPECT_TRUE(verifier.verify(
+      genuine.lead.repl.prove(RecordKind::kReputation, 3, 1, 2)));
+  EXPECT_EQ(verifier.verified_count(), 4u);
+}
+
+TEST(AuditVerifier, OldSuffixReplayedAfterAnchorMovedOnNeverMovesItBack) {
+  // A retried round-2 proof, built while block 2 was the tip, lands after
+  // a later answer moved the anchor to 6: it verifies against the kept
+  // blocks and leaves the anchor where it is.
+  Federation genuine, forked;
+  genuine.commit_rounds(0, 3);
+  forked.commit_rounds(0, 1);
+  commit_forked_round(forked, 1);
+  forked.commit(2);
+  const AuditProofBundle old =
+      genuine.lead.repl.prove(RecordKind::kReputation, 2, 1, 1);
+  const AuditProofBundle old_fork =
+      forked.lead.repl.prove(RecordKind::kReputation, 2, 1, 1);
+  ASSERT_EQ(old.headers_from, 1u);
+  ASSERT_EQ(old.headers.size(), 2u);  // [1, 3)
+  genuine.commit_rounds(3, 6);
+
+  AuditVerifier verifier = fresh_verifier();
+  ASSERT_TRUE(verifier.verify(
+      genuine.lead.repl.prove(RecordKind::kReputation, 5, 1)));
+  ASSERT_EQ(verifier.verified_count(), 6u);
+  EXPECT_TRUE(verifier.verify(old));
+  EXPECT_EQ(verifier.verified_count(), 6u);
+  // An old suffix of a fork does not link to the verified chain.
+  EXPECT_FALSE(verifier.verify(old_fork));
+  EXPECT_EQ(verifier.verified_count(), 6u);
+  // The next round's suffix still starts at the unmoved anchor.
+  genuine.commit(6);
+  EXPECT_TRUE(verifier.verify(
+      genuine.lead.repl.prove(RecordKind::kReputation, 6, 1, 6)));
+  EXPECT_EQ(verifier.verified_count(), 7u);
+}
+
+TEST(AuditVerifier, ReplayBehindKeptBlocksIsRejected) {
+  // A suffix whose first header's parent left the kept blocks cannot be
+  // linked any more; a genesis-anchored chain always can.
+  Federation fed;
+  fed.commit_rounds(0, 2);
+  const AuditProofBundle old =
+      fed.lead.repl.prove(RecordKind::kReputation, 1, 1, 1);
+  const std::uint64_t tip = AuditVerifier::kKeptBlocks + 3;
+  fed.commit_rounds(2, tip);
+
+  AuditVerifier verifier = fresh_verifier();
+  ASSERT_TRUE(verifier.verify(
+      fed.lead.repl.prove(RecordKind::kReputation, tip - 1, 1)));
+  EXPECT_FALSE(verifier.verify(old));
+  EXPECT_EQ(verifier.verified_count(), tip);
+  EXPECT_TRUE(verifier.verify(
+      fed.lead.repl.prove(RecordKind::kReputation, 1, 1, 0)));
+  EXPECT_EQ(verifier.verified_count(), tip);
+}
+
+/// One way to tamper with a bundle. Header tampers hit the header at
+/// absolute chain index `target`, which the bundle must ship.
+struct Tamper {
+  std::string name;
+  bool hits_header;
+  std::function<void(AuditProofBundle&, SealedBlockHeader*)> apply;
+};
+
+std::vector<Tamper> tampers() {
+  const KeyRegistry pki =
+      ReplicatedLedger::make_registry(kSeed, kWorkers, kServers);
+  return {
+      {"none", false, [](AuditProofBundle&, SealedBlockHeader*) {}},
+      {"record value", false,
+       [](AuditProofBundle& b, SealedBlockHeader*) { b.record.value *= 2.0; }},
+      {"record signature", false,
+       [](AuditProofBundle& b, SealedBlockHeader*) {
+         b.record.signature.tag[0] ^= 0x01;
+       }},
+      {"merkle sibling", false,
+       [](AuditProofBundle& b, SealedBlockHeader*) {
+         b.proof.front().sibling[0] ^= 0x01;
+       }},
+      {"block index", false,
+       [](AuditProofBundle& b, SealedBlockHeader*) { ++b.block_index; }},
+      {"merkle root", true,
+       [](AuditProofBundle&, SealedBlockHeader* h) {
+         h->header.merkle_root[0] ^= 0x01;
+       }},
+      {"previous hash", true,
+       [](AuditProofBundle&, SealedBlockHeader* h) {
+         h->header.previous_hash[0] ^= 0x01;
+       }},
+      {"block hash", true,
+       [](AuditProofBundle&, SealedBlockHeader* h) {
+         h->header.block_hash[0] ^= 0x01;
+       }},
+      {"index", true,
+       [](AuditProofBundle&, SealedBlockHeader* h) { ++h->header.index; }},
+      {"votes dropped", true,
+       [](AuditProofBundle&, SealedBlockHeader* h) { h->votes.clear(); }},
+      {"duplicate voter", true,
+       [](AuditProofBundle&, SealedBlockHeader* h) {
+         h->votes = {h->votes[0], h->votes[0]};
+       }},
+      {"worker-signed executor", true,
+       [pki](AuditProofBundle&, SealedBlockHeader* h) {
+         h->executor_sig = pki.sign(0, h->header.canonical_payload());
+       }},
+      {"executor tag", true,
+       [](AuditProofBundle&, SealedBlockHeader* h) {
+         h->executor_sig.tag[0] ^= 0x01;
+       }},
+  };
+}
+
+TEST(AuditVerifier, AnchoredEqualsGenesisVerificationAtEveryAnchor) {
+  // For every anchor a of a 40-block chain, a verifier anchored at a
+  // checking the suffix [a, tip) accepts exactly what a fresh verifier
+  // checking [0, tip) accepts, under every tamper of the record, its proof
+  // or a shipped header. Audited records: the newest block's (what a
+  // worker audits each round; tampers hit headers a, the middle of the
+  // suffix and the tip) and block a-1's, which the suffix elides (tampers
+  // hit header a, the first one linked to the anchor).
+  constexpr std::uint64_t kTip = 40;
+  Federation fed;
+  fed.commit_rounds(0, kTip);
+  const std::vector<Tamper> cases = tampers();
+  // Genesis verdicts by (round, tamper, header): the newest record's
+  // recur across anchors.
+  std::map<std::tuple<std::uint64_t, std::size_t, std::uint64_t>, bool>
+      genesis;
+  std::size_t accepted = 0;
+  std::size_t checks = 0;
+  for (std::uint64_t a = 0; a <= kTip; ++a) {
+    const AuditVerifier anchored = anchored_at(fed.lead, a);
+    std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>> audits;
+    std::vector<std::uint64_t> targets;
+    for (std::uint64_t t : {a, (a + kTip) / 2, kTip - 1}) {
+      if (t >= a && t < kTip &&
+          std::find(targets.begin(), targets.end(), t) == targets.end()) {
+        targets.push_back(t);
+      }
+    }
+    audits.emplace_back(kTip - 1, targets);
+    if (a > 0 && a < kTip) {
+      audits.emplace_back(a - 1, std::vector<std::uint64_t>{a});
+    }
+    for (const auto& [round, header_targets] : audits) {
+      const AuditProofBundle full =
+          fed.lead.repl.prove(RecordKind::kReputation, round, 2);
+      const AuditProofBundle suffix =
+          fed.lead.repl.prove(RecordKind::kReputation, round, 2, a);
+      ASSERT_EQ(suffix.headers_from, a);
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        const Tamper& tamper = cases[c];
+        const std::vector<std::uint64_t> hit =
+            tamper.hits_header ? header_targets
+                               : std::vector<std::uint64_t>{0};
+        for (const std::uint64_t t : hit) {
+          const auto key = std::make_tuple(round, c, t);
+          if (!genesis.contains(key)) {
+            AuditProofBundle g = full;
+            tamper.apply(g, tamper.hits_header ? &g.headers[t] : nullptr);
+            genesis[key] = fresh_verifier().verify(g);
+          }
+          const bool genesis_ok = genesis[key];
+          AuditProofBundle s = suffix;
+          tamper.apply(s, tamper.hits_header ? &s.headers[t - a] : nullptr);
+          AuditVerifier from_anchor = anchored;
+          const bool anchored_ok = from_anchor.verify(s);
+          EXPECT_EQ(anchored_ok, genesis_ok)
+              << "anchor " << a << " round " << round << " tamper "
+              << tamper.name << " header " << t;
+          EXPECT_EQ(genesis_ok, tamper.name == "none")
+              << "anchor " << a << " round " << round << " tamper "
+              << tamper.name << " header " << t;
+          EXPECT_EQ(from_anchor.verified_count(), anchored_ok ? kTip : a);
+          accepted += anchored_ok ? 1 : 0;
+          ++checks;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 2 * kTip);  // every untampered bundle
+  EXPECT_GT(checks, 1000u);
 }
 
 TEST(ReplicatedLedger, AdoptCommittedInstallsVerifiedCertificates) {
