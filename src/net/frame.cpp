@@ -1,7 +1,7 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
 #include <string>
 
 namespace fifl::net {
@@ -108,56 +108,96 @@ std::vector<std::uint8_t> encode_frame(std::uint8_t type, std::uint32_t from,
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
-  // Compact lazily: once the consumed prefix dominates, shift the tail
-  // down so the buffer does not grow without bound on long connections.
-  if (consumed_ > 4096 && consumed_ > buffer_.size() / 2) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
+  buffered_ += bytes.size();
+  while (!error_) {
+    if (!in_payload_) {
+      const std::size_t take = std::min(head_need_ - head_size_, bytes.size());
+      std::copy_n(bytes.begin(), take, head_.begin() + head_size_);
+      head_size_ += take;
+      bytes = bytes.subspan(take);
+      if (head_size_ < head_need_) return;
+      // A traced header raises head_need_ to stage the extension first.
+      if (head_size_ == kFrameHeaderSize && !parse_header()) return;
+      if (head_size_ < head_need_) continue;
+      begin_payload();
+    }
+    const std::size_t take =
+        std::min<std::size_t>(length_ - frame_.payload.size(), bytes.size());
+    const auto piece = bytes.first(take);
+    frame_.payload.insert(frame_.payload.end(), piece.begin(), piece.end());
+    crc_ = crc32(piece, crc_);
+    bytes = bytes.subspan(take);
+    if (frame_.payload.size() < length_) return;
+    end_frame();
+    if (bytes.empty()) return;
   }
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
 }
 
-std::optional<Frame> FrameDecoder::next() {
-  if (buffered() < kFrameHeaderSize) return std::nullopt;
-  const std::uint8_t* h = buffer_.data() + consumed_;
+bool FrameDecoder::parse_header() {
+  const std::uint8_t* h = head_.data();
   if (load_u32le(h) != kFrameMagic) {
-    throw FrameError("frame: bad magic");
+    error_ = "frame: bad magic";
+    return false;
   }
   if (h[4] != kFrameVersion) {
-    throw FrameError("frame: unsupported version " + std::to_string(h[4]));
+    error_ = "frame: unsupported version " + std::to_string(h[4]);
+    return false;
   }
   const std::uint16_t flags = static_cast<std::uint16_t>(
       h[6] | (static_cast<std::uint16_t>(h[7]) << 8));
   if ((flags & ~kFrameFlagTrace) != 0) {
-    throw FrameError("frame: nonzero reserved flags");
+    error_ = "frame: nonzero reserved flags";
+    return false;
   }
-  const bool traced = (flags & kFrameFlagTrace) != 0;
-  const std::size_t ext = traced ? kTraceExtSize : 0;
-  const std::uint32_t length = load_u32le(h + 12);
-  if (length > kMaxPayload) {
-    throw FrameError("frame: payload length " + std::to_string(length) +
-                     " exceeds limit");
+  length_ = load_u32le(h + 12);
+  if (length_ > kMaxPayload) {
+    error_ = "frame: payload length " + std::to_string(length_) +
+             " exceeds limit";
+    return false;
   }
-  if (buffered() < kFrameHeaderSize + ext + length) return std::nullopt;
-  const std::uint32_t stored_crc = load_u32le(h + 16);
-  std::uint32_t crc = crc32(std::span(h + 4, 12));
-  crc = crc32(std::span(h + kFrameHeaderSize, ext + length), crc);
-  if (crc != stored_crc) {
-    throw FrameError("frame: CRC mismatch");
+  if ((flags & kFrameFlagTrace) != 0) head_need_ += kTraceExtSize;
+  return true;
+}
+
+void FrameDecoder::begin_payload() {
+  const std::uint8_t* h = head_.data();
+  frame_ = Frame{};
+  frame_.type = h[5];
+  frame_.from = load_u32le(h + 8);
+  if (head_need_ > kFrameHeaderSize) {
+    frame_.has_trace = true;
+    frame_.trace.trace_id = load_u64le(h + kFrameHeaderSize);
+    frame_.trace.span_id = load_u64le(h + kFrameHeaderSize + 8);
+    frame_.trace.parent_span_id = load_u64le(h + kFrameHeaderSize + 16);
   }
-  Frame frame;
-  frame.type = h[5];
-  frame.from = load_u32le(h + 8);
-  if (traced) {
-    frame.has_trace = true;
-    frame.trace.trace_id = load_u64le(h + kFrameHeaderSize);
-    frame.trace.span_id = load_u64le(h + kFrameHeaderSize + 8);
-    frame.trace.parent_span_id = load_u64le(h + kFrameHeaderSize + 16);
+  frame_.payload.reserve(std::min<std::size_t>(length_, kEagerReserve));
+  // CRC over [version .. header end) + extension, then the payload.
+  crc_ = crc32(std::span(h + 4, 12));
+  crc_ = crc32(std::span(h + kFrameHeaderSize, head_need_ - kFrameHeaderSize),
+               crc_);
+  in_payload_ = true;
+}
+
+void FrameDecoder::end_frame() {
+  if (crc_ != load_u32le(head_.data() + 16)) {
+    error_ = "frame: CRC mismatch";
+    return;
   }
-  const std::uint8_t* body = h + kFrameHeaderSize + ext;
-  frame.payload.assign(body, body + length);
-  consumed_ += kFrameHeaderSize + ext + length;
+  ready_.push_back(std::move(frame_));
+  head_size_ = 0;
+  head_need_ = kFrameHeaderSize;
+  in_payload_ = false;
+}
+
+std::optional<Frame> FrameDecoder::next() {
+  if (ready_.empty()) {
+    if (error_) throw FrameError(*error_);
+    return std::nullopt;
+  }
+  Frame frame = std::move(ready_.front());
+  ready_.pop_front();
+  buffered_ -= kFrameHeaderSize + (frame.has_trace ? kTraceExtSize : 0) +
+               frame.payload.size();
   return frame;
 }
 

@@ -20,16 +20,19 @@
 // The CRC covers everything after the magic, so any single corrupted byte
 // in header fields, extension, or payload is detected; a corrupted magic
 // fails the magic check itself. Decoding is incremental
-// (FrameDecoder::feed) and every malformed input throws FrameError — a
-// SerializeError subclass, so one catch handles both framing and payload
-// decode failures. A decoder that has thrown is poisoned: the stream has
-// lost sync and the caller is expected to drop the connection, mirroring
-// what the TCP transport does.
+// (FrameDecoder::feed) and every malformed input makes next() throw
+// FrameError — a SerializeError subclass, so one catch handles both
+// framing and payload decode failures. A decoder that has thrown is
+// poisoned: the stream has lost sync and the caller is expected to drop
+// the connection, mirroring what the TCP transport does.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "obs/span.hpp"
@@ -74,9 +77,22 @@ std::vector<std::uint8_t> encode_frame(std::uint8_t type, std::uint32_t from,
                                        const obs::TraceContext* trace = nullptr);
 
 /// Incremental frame parser over an arbitrary chunking of the byte stream.
+/// Each payload byte is copied once, from the fed span straight into the
+/// payload vector of the frame it belongs to, and checksummed on the way;
+/// only header and trace-extension bytes are staged. Before its bytes
+/// arrive a frame's payload reserves at most kEagerReserve bytes, so a
+/// corrupt length field costs no more than that ahead of the CRC check.
 class FrameDecoder {
  public:
-  /// Appends raw bytes received from the wire.
+  /// Payload capacity reserved when a header is parsed: the whole payload
+  /// up to this size (every message the runtime sends; a LeNet upload is
+  /// ~280 KB), so it fills without reallocating. A longer payload grows
+  /// with its bytes.
+  static constexpr std::size_t kEagerReserve = std::size_t{1} << 20;
+
+  /// Consumes raw bytes received from the wire. Never throws: a malformed
+  /// frame poisons the decoder, and next() reports it once the frames
+  /// before it are taken.
   void feed(std::span<const std::uint8_t> bytes);
 
   /// Extracts the next complete frame, or nullopt if more bytes are
@@ -84,12 +100,29 @@ class FrameDecoder {
   /// length field, or a CRC mismatch.
   std::optional<Frame> next();
 
-  /// Bytes buffered but not yet consumed as frames.
-  std::size_t buffered() const noexcept { return buffer_.size() - consumed_; }
+  /// Bytes fed but not yet returned as frames.
+  std::size_t buffered() const noexcept { return buffered_; }
 
  private:
-  std::vector<std::uint8_t> buffer_;
-  std::size_t consumed_ = 0;
+  /// Validates the 20 staged header bytes; records the error and returns
+  /// false on a malformed header.
+  bool parse_header();
+  /// Starts the payload of the frame whose header (and extension) is
+  /// staged: copies the header fields into frame_ and seeds the CRC.
+  void begin_payload();
+  /// Checks the finished frame's CRC and queues it.
+  void end_frame();
+
+  std::array<std::uint8_t, kFrameHeaderSize + kTraceExtSize> head_{};
+  std::size_t head_size_ = 0;                 // staged bytes of head_
+  std::size_t head_need_ = kFrameHeaderSize;  // + kTraceExtSize if traced
+  bool in_payload_ = false;
+  std::uint32_t length_ = 0;
+  std::uint32_t crc_ = 0;
+  Frame frame_;  // the frame being assembled
+  std::deque<Frame> ready_;
+  std::optional<std::string> error_;  // sticky: the stream lost sync
+  std::size_t buffered_ = 0;
 };
 
 }  // namespace fifl::net

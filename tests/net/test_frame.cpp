@@ -4,11 +4,36 @@
 // silently accepted message.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <functional>
+#include <new>
 
 #include "net/frame.hpp"
 #include "util/rng.hpp"
+
+/// The largest single operator-new request since the last reset: this
+/// binary replaces the global allocation functions to observe what a
+/// decoder reserves.
+std::size_t g_largest_allocation = 0;
+
+void* operator new(std::size_t size) {
+  g_largest_allocation = std::max(g_largest_allocation, size);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() in a replacement operator delete as mismatched with
+// new, though the replacement operator new above mallocs.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace fifl::net {
 namespace {
@@ -195,9 +220,9 @@ std::vector<std::function<std::size_t()>> data_plane_chunkings(
 }
 
 TEST(Frame, DataPlaneFramesSurviveChunkingAndCompaction) {
-  // Large frames push the decoder's consumed prefix past its 4096-byte
-  // compaction threshold, so later frames are parsed and CRC-checked from
-  // a compacted buffer.
+  // Each large payload is assembled in place from many reads and
+  // checksummed piece by piece; the small frames share reads with the
+  // large ones' heads and tails.
   util::Rng rng(43);
   const DataPlaneStream stream = data_plane_stream(rng);
   const auto chunkings = data_plane_chunkings(rng);
@@ -290,6 +315,24 @@ TEST(Frame, OversizedLengthFieldThrows) {
   FrameDecoder decoder;
   decoder.feed(wire);
   EXPECT_THROW(decoder.next(), FrameError);
+}
+
+TEST(Frame, CorruptLengthAllocatesBoundedBeforeItsBytes) {
+  // A header claiming kMaxPayload (256 MB) followed by a few payload bytes
+  // reserves at most kEagerReserve, and the decoder just waits.
+  auto wire = encode_frame(2, 1, std::vector<std::uint8_t>(64, 0xab));
+  for (int i = 0; i < 4; ++i) {
+    wire[12 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(kMaxPayload >> (8 * i));
+  }
+  FrameDecoder decoder;
+  g_largest_allocation = 0;
+  decoder.feed(wire);
+  const std::size_t largest = g_largest_allocation;
+  EXPECT_LE(largest, FrameDecoder::kEagerReserve);
+  EXPECT_GT(largest, 0u);
+  EXPECT_FALSE(decoder.next().has_value());
+  EXPECT_EQ(decoder.buffered(), wire.size());
 }
 
 TEST(Frame, RandomGarbageNeverDecodes) {
