@@ -2,7 +2,7 @@
 # Static-analysis entry point: everything that catches bugs without
 # running the programs.
 #
-#   1. fifl-lint        repo determinism/hygiene rules R1-R5 (DESIGN.md
+#   1. fifl-lint        repo determinism/hygiene rules R1-R3 and R5 (DESIGN.md
 #                       "Determinism invariants") plus the concurrency
 #                       rules R6-R9 (DESIGN.md "Concurrency discipline");
 #                       builds the linter if needed, then lints the tree

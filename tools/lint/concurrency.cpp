@@ -19,12 +19,12 @@
 //   R9 blocking-under-lock sleep_for / join / socket send/recv/connect
 //                          while any tracked lock is held.
 //
-// Like R1-R5 these are line-oriented heuristics over blanked source, not a
-// C++ front end: lock scopes are tracked by brace depth, lock sites must fit
-// on one line, and instance identity is invisible (two locks of the same
-// declared name are one graph node).  The Clang -Werror=thread-safety lane
-// in scripts/ci_static.sh covers the same discipline with a real front end
-// where clang is installed; what neither can see is listed in DESIGN.md
+// Like R1-R3 and R5 these are line-oriented heuristics over blanked source,
+// not a C++ front end: lock scopes are tracked by brace depth, lock sites
+// must fit on one line, and instance identity is invisible (two locks of the
+// same declared name are one graph node).  The Clang -Werror=thread-safety
+// lane in scripts/ci_static.sh covers the same discipline with a real front
+// end where clang is installed; what neither can see is listed in DESIGN.md
 // "Concurrency discipline".
 #include "lint.hpp"
 

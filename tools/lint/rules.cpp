@@ -1,4 +1,5 @@
-// Rule half of fifl-lint: the five determinism/hygiene rules (R1-R5).
+// Rule half of fifl-lint: the determinism/hygiene rules R1-R3 and R5 (R4
+// was retired; see lint.hpp).
 //
 // These are line-oriented heuristics over comment/string-blanked source, not
 // a full C++ front end.  They are tuned so the repo's real determinism bugs
