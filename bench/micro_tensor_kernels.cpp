@@ -1,7 +1,9 @@
 // Kernel-layer micro-bench: sweeps the hot tensor kernels (dot, axpy,
 // squared_norm, matmul) across sizes {1k, 64k, 1M} x ISA {scalar, avx2},
 // reporting GB/s (bytes_per_second) per leg and, for the vector kernels,
-// a measured speedup_vs_scalar counter on the AVX2 legs.
+// a measured speedup_vs_scalar counter on the AVX2 legs. The LeNet legs
+// time one batch-32 training step's conv forward, conv backward products
+// and ReLU at conv1's and conv2's shapes per ISA.
 //
 // Every leg re-asserts the determinism contract before timing anything:
 // the scalar table and the leg's table must produce BIT-identical results
@@ -16,11 +18,14 @@
 // counter on every scalar leg).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "nn/layers.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "util/rng.hpp"
 
@@ -178,6 +183,209 @@ void BM_Matmul(benchmark::State& state, kernels::Isa isa, std::size_t side) {
   common_counters(state, kt);
 }
 
+// LeNet's convs (k5, p2, stride 1) at the training batch of 32.
+struct LeNetConv {
+  const char* name;
+  std::size_t c, oc, hw;  // input channels, output channels, image side
+  bool input_grad;        // conv1 is the first layer: no input gradient
+};
+constexpr LeNetConv kLeNetConvs[] = {{"conv1", 1, 6, 28, false},
+                                     {"conv2", 6, 16, 14, true}};
+constexpr std::size_t kConvK = 5, kConvPad = 2, kConvBatch = 32;
+
+/// A batch of zero-bordered images as conv2d_forward builds them, each
+/// followed by the slack the conv kernel may read, plus the tap table.
+struct PaddedBatch {
+  std::size_t side, image;  // padded side; floats per image incl. slack
+  std::vector<float> data;
+  std::vector<std::size_t> taps;
+  kernels::ConvImageShape shape;
+};
+
+PaddedBatch padded_batch(const LeNetConv& leg, std::uint64_t seed) {
+  PaddedBatch pb;
+  pb.side = leg.hw + 2 * kConvPad;
+  pb.image = leg.c * pb.side * pb.side + kernels::kFloatLanes;
+  pb.data.assign(kConvBatch * pb.image, 0.0f);
+  const std::vector<float> v =
+      random_vec(seed, kConvBatch * leg.c * leg.hw * leg.hw);
+  std::size_t next = 0;
+  for (std::size_t img = 0; img < kConvBatch; ++img) {
+    for (std::size_t ch = 0; ch < leg.c; ++ch) {
+      for (std::size_t y = 0; y < leg.hw; ++y) {
+        float* row = pb.data.data() + img * pb.image +
+                     (ch * pb.side + y + kConvPad) * pb.side + kConvPad;
+        for (std::size_t x = 0; x < leg.hw; ++x) row[x] = v[next++];
+      }
+    }
+  }
+  pb.taps.resize(leg.c * kConvK * kConvK);
+  kernels::conv_taps(leg.c, kConvK, pb.side, pb.side, pb.taps.data());
+  pb.shape = kernels::ConvImageShape{.padded_w = pb.side,
+                                     .stride = 1,
+                                     .patch = pb.taps.size(),
+                                     .out_channels = leg.oc,
+                                     .out_h = leg.hw,
+                                     .out_w = leg.hw};
+  return pb;
+}
+
+/// The output gradient conv2d_backward hands the kernels, per image
+/// (pixels × OC). As in LeNet, the leg's conv output goes through ReLU and
+/// a 2×2 max-pool, and a dense gradient at the pool output comes back
+/// through both: each window passes at most one entry, the one at its
+/// argmax, and only if that entry was positive.
+std::vector<float> conv_output_grad(const LeNetConv& leg, const PaddedBatch& pb,
+                                    std::uint64_t seed) {
+  const kernels::KernelTable& sc = kernels::scalar_table();
+  const std::size_t px = leg.hw * leg.hw, out = leg.oc * px;
+  const std::vector<float> w = random_vec(seed, leg.oc * pb.shape.patch);
+  const std::vector<float> b = random_vec(seed + 0x10, leg.oc);
+  fifl::tensor::Tensor y({kConvBatch, leg.oc, leg.hw, leg.hw});
+  for (std::size_t img = 0; img < kConvBatch; ++img) {
+    sc.conv_forward_image(pb.data.data() + img * pb.image, pb.taps.data(),
+                          w.data(), b.data(), y.data() + img * out, pb.shape);
+  }
+  fifl::nn::ReLU relu;
+  fifl::nn::MaxPool2d pool(2);
+  const fifl::tensor::Tensor pooled = pool.forward(relu.forward(y));
+  const fifl::tensor::Tensor g = relu.backward(pool.backward(fifl::tensor::Tensor(
+      pooled.shape(), random_vec(seed + 0x20, pooled.numel()))));
+  std::vector<float> gt(g.numel());
+  for (std::size_t img = 0; img < kConvBatch; ++img) {
+    for (std::size_t o = 0; o < leg.oc; ++o) {
+      for (std::size_t p = 0; p < px; ++p) {
+        gt[(img * px + p) * leg.oc + o] = g.data()[img * out + o * px + p];
+      }
+    }
+  }
+  return gt;
+}
+
+void BM_ConvForward(benchmark::State& state, kernels::Isa isa,
+                    const LeNetConv& leg) {
+  const kernels::KernelTable& kt = kernels::table(isa);
+  const kernels::KernelTable& sc = kernels::scalar_table();
+  const PaddedBatch pb = padded_batch(leg, 0xBE7C0010 + leg.c);
+  const std::size_t patch = pb.shape.patch, out = leg.oc * leg.hw * leg.hw;
+  const std::vector<float> w = random_vec(0xBE7C0011 + leg.c, leg.oc * patch);
+  const std::vector<float> b = random_vec(0xBE7C0012 + leg.c, leg.oc);
+  std::vector<float> y(kConvBatch * out);
+  auto forward = [&](const kernels::KernelTable& t) {
+    for (std::size_t img = 0; img < kConvBatch; ++img) {
+      t.conv_forward_image(pb.data.data() + img * pb.image, pb.taps.data(),
+                           w.data(), b.data(), y.data() + img * out, pb.shape);
+    }
+  };
+  forward(sc);
+  const std::vector<float> ref = y;
+  forward(kt);
+  if (!bits_equal_vec(ref, y)) {
+    state.SkipWithError(
+        "conv forward: scalar vs dispatched results not bit-identical");
+    return;
+  }
+  for (auto _ : state) {
+    forward(kt);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kConvBatch * out * patch));
+  common_counters(state, kt);
+}
+
+// The backward's kernel products per image, as conv2d_backward runs them:
+// the weight gradient dW += gᵀ·cols (matmul_tn_rows) and, past the first
+// layer, the input gradient's rows dcols = g·W (matmul_rows). The unfold,
+// transpose and fold around them are not timed.
+void BM_ConvBackward(benchmark::State& state, kernels::Isa isa,
+                     const LeNetConv& leg) {
+  const kernels::KernelTable& kt = kernels::table(isa);
+  const kernels::KernelTable& sc = kernels::scalar_table();
+  const PaddedBatch pb = padded_batch(leg, 0xBE7C0013 + leg.c);
+  const std::size_t patch = pb.shape.patch, px = leg.hw * leg.hw;
+  std::vector<float> cols(kConvBatch * px * patch);
+  for (std::size_t img = 0; img < kConvBatch; ++img) {
+    for (std::size_t p = 0; p < px; ++p) {
+      const float* x = pb.data.data() + img * pb.image +
+                       (p / leg.hw) * pb.side + p % leg.hw;
+      for (std::size_t kk = 0; kk < patch; ++kk) {
+        cols[(img * px + p) * patch + kk] = x[pb.taps[kk]];
+      }
+    }
+  }
+  const std::vector<float> gt = conv_output_grad(leg, pb, 0xBE7C0100 + leg.c);
+  const std::vector<float> w = random_vec(0xBE7C0015 + leg.c, leg.oc * patch);
+  // The comparison below sees the summed weight gradient and the last
+  // image's input-gradient rows.
+  std::vector<float> gw(leg.oc * patch), dcols(px * patch);
+  auto backward = [&](const kernels::KernelTable& t) {
+    t.fill(gw.data(), 0.0f, gw.size());
+    for (std::size_t img = 0; img < kConvBatch; ++img) {
+      const float* g = gt.data() + img * px * leg.oc;
+      t.matmul_tn_rows(g, cols.data() + img * px * patch, gw.data(), 0,
+                       leg.oc, px, leg.oc, patch);
+      if (leg.input_grad) {
+        t.fill(dcols.data(), 0.0f, dcols.size());
+        t.matmul_rows(g, w.data(), dcols.data(), 0, px, leg.oc, patch);
+      }
+    }
+  };
+  backward(sc);
+  const std::vector<float> ref_gw = gw, ref_dcols = dcols;
+  backward(kt);
+  if (!bits_equal_vec(ref_gw, gw) || !bits_equal_vec(ref_dcols, dcols)) {
+    state.SkipWithError(
+        "conv backward: scalar vs dispatched results not bit-identical");
+    return;
+  }
+  for (auto _ : state) {
+    backward(kt);
+    benchmark::DoNotOptimize(gw.data());
+    benchmark::DoNotOptimize(dcols.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["grad_zero_share"] =
+      static_cast<double>(std::count(gt.begin(), gt.end(), 0.0f)) /
+      static_cast<double>(gt.size());
+  common_counters(state, kt);
+}
+
+// ReLU forward (output + pass mask) and backward over one batch's conv
+// output, half of it negative.
+void BM_Relu(benchmark::State& state, kernels::Isa isa, const LeNetConv& leg) {
+  const kernels::KernelTable& kt = kernels::table(isa);
+  const kernels::KernelTable& sc = kernels::scalar_table();
+  const std::size_t n = kConvBatch * leg.oc * leg.hw * leg.hw;
+  const std::vector<float> x = random_vec(0xBE7C0016 + leg.c, n);
+  const std::vector<float> g = random_vec(0xBE7C0017 + leg.c, n);
+  std::vector<float> y(n), gx(n);
+  std::vector<std::uint8_t> pass(n);
+  auto relu = [&](const kernels::KernelTable& t) {
+    t.relu_forward(x.data(), y.data(), pass.data(), n);
+    t.relu_backward(g.data(), pass.data(), gx.data(), n);
+  };
+  relu(sc);
+  const std::vector<float> ref_y = y, ref_gx = gx;
+  const std::vector<std::uint8_t> ref_pass = pass;
+  relu(kt);
+  if (!bits_equal_vec(ref_y, y) || !bits_equal_vec(ref_gx, gx) ||
+      ref_pass != pass) {
+    state.SkipWithError("relu: scalar vs dispatched results not bit-identical");
+    return;
+  }
+  for (auto _ : state) {
+    relu(kt);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::ClobberMemory();
+  }
+  // x, y, pass, g, pass again, gx.
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * (5 * sizeof(float) + 2)));
+  common_counters(state, kt);
+}
+
 // Registered at static-init time (before micro_main's Initialize) so the
 // AVX2 column exists exactly when it can actually run.
 struct KernelBenchRegistrar {
@@ -208,6 +416,18 @@ struct KernelBenchRegistrar {
              std::to_string(side))
                 .c_str(),
             BM_Matmul, isa, side)
+            ->Unit(benchmark::kMicrosecond);
+      }
+      for (const LeNetConv& leg : kLeNetConvs) {
+        const std::string sz = "/" + tag + "/" + leg.name;
+        benchmark::RegisterBenchmark(("BM_ConvForward" + sz).c_str(),
+                                     BM_ConvForward, isa, leg)
+            ->Unit(benchmark::kMicrosecond);
+        benchmark::RegisterBenchmark(("BM_ConvBackward" + sz).c_str(),
+                                     BM_ConvBackward, isa, leg)
+            ->Unit(benchmark::kMicrosecond);
+        benchmark::RegisterBenchmark(("BM_Relu" + sz).c_str(), BM_Relu, isa,
+                                     leg)
             ->Unit(benchmark::kMicrosecond);
       }
     }

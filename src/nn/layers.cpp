@@ -1,10 +1,9 @@
 #include "nn/layers.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace fifl::nn {
@@ -215,27 +214,12 @@ void Conv2d::backward_params(const tensor::Tensor& grad_output) {
   tensor::add_inplace(bias_.grad, grads.grad_bias);
 }
 
-namespace {
-/// `x` where `keep`, else +0 — a bit mask, not a branch, because which
-/// activations are negative is data the predictor cannot learn.
-inline float keep_or_zero(float x, bool keep) noexcept {
-  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) &
-                              (0u - static_cast<std::uint32_t>(keep)));
-}
-}  // namespace
-
 tensor::Tensor ReLU::forward(const tensor::Tensor& input) {
   tensor::Tensor out(input.shape());
-  const std::size_t n = input.numel();
-  pass_.resize(n);
-  const float* in = input.data();
-  float* y = out.data();
-  std::uint8_t* pass = pass_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float x = in[i];
-    y[i] = keep_or_zero(x, !(x < 0.0f));  // NaN and -0 pass unchanged
-    pass[i] = static_cast<std::uint8_t>(!(x <= 0.0f));
-  }
+  pass_.resize(input.numel());
+  // NaN and -0 pass unchanged; the mask passes NaN but not ±0.
+  tensor::kernels::active().relu_forward(input.data(), out.data(),
+                                         pass_.data(), input.numel());
   return out;
 }
 
@@ -244,10 +228,8 @@ tensor::Tensor ReLU::backward(const tensor::Tensor& grad_output) {
     throw std::logic_error("ReLU: backward without matching forward");
   }
   tensor::Tensor grad(grad_output.shape());
-  const float* g = grad_output.data();
-  const std::uint8_t* pass = pass_.data();
-  float* gi = grad.data();
-  for (std::size_t i = 0; i < pass_.size(); ++i) gi[i] = keep_or_zero(g[i], pass[i] != 0);
+  tensor::kernels::active().relu_backward(grad_output.data(), pass_.data(),
+                                          grad.data(), pass_.size());
   return grad;
 }
 

@@ -123,23 +123,11 @@ tensor::Tensor ResidualBlock::forward(const tensor::Tensor& input) {
   h = relu1_.forward(h);
   h = conv2_.forward(h);
   tensor::add_inplace(h, input);
-  cached_sum_ = h.clone();
-  for (auto& v : h.flat()) {
-    if (v < 0.0f) v = 0.0f;
-  }
-  return h;
+  return relu2_.forward(h);
 }
 
 tensor::Tensor ResidualBlock::backward(const tensor::Tensor& grad_output) {
-  // Through the final ReLU.
-  tensor::Tensor g = grad_output.clone();
-  {
-    const float* pre = cached_sum_.data();
-    float* gp = g.data();
-    for (std::size_t i = 0; i < g.numel(); ++i) {
-      if (pre[i] <= 0.0f) gp[i] = 0.0f;
-    }
-  }
+  const tensor::Tensor g = relu2_.backward(grad_output);
   // Branch gradient through conv2 -> relu1 -> conv1; skip adds g directly.
   tensor::Tensor branch = conv2_.backward(g);
   branch = relu1_.backward(branch);

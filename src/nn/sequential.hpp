@@ -80,7 +80,7 @@ class ResidualBlock final : public Layer {
   Conv2d conv1_;
   ReLU relu1_;
   Conv2d conv2_;
-  tensor::Tensor cached_sum_;  // pre-activation of the final ReLU
+  ReLU relu2_;  // after the skip sum
 };
 
 }  // namespace fifl::nn

@@ -75,7 +75,7 @@ ConvGeom conv_geom(const Tensor& input, const Tensor& weight,
 struct ImageScratch {
   std::vector<float> padded;  // one image (C, H+2p, W+2p), zero border
   std::vector<float> cols;    // one image's im2col rows (pixels × patch)
-  std::vector<float> aux;     // one image's product or transposed gradient
+  std::vector<float> aux;     // one image's transposed output gradient
 };
 
 ImageScratch& image_scratch() {
@@ -89,8 +89,11 @@ float* grow(std::vector<float>& buf, std::size_t n) {
 }
 
 /// Taps of K <= kRun floats move as one fixed kRun-float block, so buffers
-/// written or read that way carry kRun floats of slack.
+/// written or read that way carry kRun floats of slack. The padded image's
+/// slack also covers the conv kernel's reads past a row's last pixel
+/// (kernels::kFloatLanes − 1 floats).
 constexpr std::size_t kRun = 8;
+static_assert(kRun >= kernels::kFloatLanes - 1);
 
 std::size_t padded_h(const ConvGeom& g) noexcept { return g.h + 2 * g.pad; }
 std::size_t padded_w(const ConvGeom& g) noexcept { return g.w + 2 * g.pad; }
@@ -104,11 +107,11 @@ std::size_t tap_offset(const ConvGeom& g, std::size_t ch, std::size_t oy,
   return (ch * padded_h(g) + oy * g.stride + ky) * padded_w(g) + ox * g.stride;
 }
 
-/// One image's rows of im2col(): copy the image into a zero-bordered
-/// buffer, then every tap row is a plain K-float copy from it.
-void unfold_image(const float* image, const ConvGeom& g, ImageScratch& scratch,
-                  float* cols) {
-  const std::size_t pw = padded_w(g), patch = g.patch();
+/// Copies one image into the scratch's zero-bordered buffer (C, H+2p,
+/// W+2p), followed by kRun zero floats of slack.
+const float* pad_image(const float* image, const ConvGeom& g,
+                       ImageScratch& scratch) {
+  const std::size_t pw = padded_w(g);
   float* padded = grow(scratch.padded, padded_size(g));
   std::fill(padded, padded + padded_size(g), 0.0f);
   for (std::size_t ch = 0; ch < g.c; ++ch) {
@@ -117,6 +120,15 @@ void unfold_image(const float* image, const ConvGeom& g, ImageScratch& scratch,
                   padded + (ch * padded_h(g) + y + g.pad) * pw + g.pad);
     }
   }
+  return padded;
+}
+
+/// One image's rows of im2col(): every tap row is a plain K-float copy
+/// from the zero-bordered image.
+void unfold_image(const float* image, const ConvGeom& g, ImageScratch& scratch,
+                  float* cols) {
+  const std::size_t patch = g.patch();
+  const float* padded = pad_image(image, g, scratch);
   for (std::size_t oy = 0; oy < g.oh; ++oy) {
     for (std::size_t ox = 0; ox < g.ow; ++ox) {
       float* row = cols + (oy * g.ow + ox) * patch;
@@ -272,29 +284,27 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   }
   Tensor out({g.n, g.oc, g.oh, g.ow});
   const kernels::KernelTable& kt = kernels::active();
+  std::vector<std::size_t> taps(g.patch());
+  kernels::conv_taps(g.c, g.k, padded_h(g), padded_w(g), taps.data());
+  const kernels::ConvImageShape shape{.padded_w = padded_w(g),
+                                      .stride = g.stride,
+                                      .patch = g.patch(),
+                                      .out_channels = g.oc,
+                                      .out_h = g.oh,
+                                      .out_w = g.ow};
   const float* in = input.data();
-  const float* pw = weight.data();  // (OC, patch) row-major
-  const float* pb = bias.data();
   float* po = out.data();
-  // One image at a time: unfold into L2-sized scratch, multiply, then add
-  // the bias while writing the NCHW output.
+  // One image at a time, straight from its zero-bordered copy: each output
+  // keeps the order of ⟨cols row p, W row oc⟩ + bias (matmul_nt_rows'
+  // float 8-lane tree over the patch); the kRun floats of slack cover the
+  // AVX2 backend's reads past a row's last pixel.
   util::parallel_for(
       0, g.n,
       [&](std::size_t img) {
-        const std::size_t px = g.pixels();
-        ImageScratch& scratch = image_scratch();
-        float* cols = grow(scratch.cols, px * g.patch() + kRun);
-        float* prod = grow(scratch.aux, px * g.oc);
-        unfold_image(in + img * g.in_image(), g, scratch, cols);
-        // order: prod(p, oc) = ⟨cols row p, W row oc⟩ — matmul_nt_rows'
-        // float 8-lane tree over the patch, then + bias below.
-        kt.matmul_nt_rows(cols, pw, prod, 0, px, g.patch(), g.oc);
-        float* dst = po + img * g.out_image();
-        for (std::size_t o = 0; o < g.oc; ++o) {
-          for (std::size_t p = 0; p < px; ++p) {
-            dst[o * px + p] = prod[p * g.oc + o] + pb[o];
-          }
-        }
+        const float* padded =
+            pad_image(in + img * g.in_image(), g, image_scratch());
+        kt.conv_forward_image(padded, taps.data(), weight.data(), bias.data(),
+                              po + img * g.out_image(), shape);
       },
       /*grain=*/1);
   return out;

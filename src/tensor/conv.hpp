@@ -1,9 +1,10 @@
-// 2-D convolution and pooling primitives (NCHW layout). Convolution is the
-// im2col product — unfold the input into patch rows, multiply by the
-// (OC, C·K·K) weight matrix — run one image at a time through the kernel
-// row functions, so the unfolded columns never exist for the whole batch.
-// Every output element keeps the floating-point operation order of the
-// whole-batch composition im2col → matmul_nt / matmul_tn / matmul → col2im
+// 2-D convolution and pooling primitives (NCHW layout). Convolution runs
+// one image at a time: the forward reads each output's taps straight from
+// a zero-bordered copy of the image (kernels::conv_forward_image), and the
+// backward unfolds that copy into patch rows for the kernel row functions,
+// so unfolded columns never exist for the whole batch. Every output
+// element keeps the floating-point operation order of the whole-batch
+// composition im2col → matmul_nt / matmul_tn / matmul → col2im
 // (DESIGN.md "Training path"); tests/tensor/test_conv.cpp pins that
 // bitwise. nn::Conv2d and nn::MaxPool2d are thin wrappers over these.
 #pragma once

@@ -22,10 +22,14 @@
 //   * The float accumulator in matmul_nt_rows uses the same 8-lane
 //     discipline in float: s[l] = lane[l] + lane[l+4], then
 //     (s0 + s2) + (s1 + s3).
+//   * conv_forward_image computes each output with matmul_nt_rows' order
+//     over the patch taps, then + bias. The AVX2 backend keeps float lane
+//     l of 8 adjacent output pixels in one register, so the same tree is 7
+//     vertical adds per 8 outputs instead of a horizontal reduce per output.
 //   * matmul_rows / matmul_tn_rows are axpy-form (c[j] += a*b[j], one
 //     contribution per kk, kk ascending): no cross-lane reduction, so
 //     vectorising the j loop is trivially bit-identical. Both backends
-//     keep the `a == 0.0f` skip so sparsified gradients cost nothing.
+//     skip `a == 0.0f` terms so sparsified gradients cost nothing.
 //     matmul_tn_rows runs kk outermost (i, then j, inside): each element
 //     still sees kk ascending, so it equals the i-outer loop bit for bit
 //     while reading A and B once instead of once per output row.
@@ -42,6 +46,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace fifl::tensor::kernels {
 
@@ -54,6 +59,25 @@ inline constexpr std::size_t kFloatLanes = 8;
 inline constexpr std::size_t kDoubleLanes = 16;
 
 enum class Isa { kScalar, kAvx2 };
+
+/// Shape of one image's direct convolution (KernelTable::conv_forward_image).
+/// The input is an image with its zero border already in place, `padded_w`
+/// floats per row. Output pixel (oy, ox) reads tap kk at offset
+/// (oy·padded_w + ox)·stride + taps[kk]; conv_taps() builds that table.
+struct ConvImageShape {
+  std::size_t padded_w;      // floats per row of the zero-bordered image
+  std::size_t stride;
+  std::size_t patch;         // taps per output, C·K·K
+  std::size_t out_channels;  // OC
+  std::size_t out_h, out_w;  // OH, OW
+};
+
+/// Fills taps[kk] for kk = (ch·K + ky)·K + kx — im2col's column order —
+/// with (ch·padded_h + ky)·padded_w + kx: where that tap of an output
+/// pixel's window lies in a (C, padded_h, padded_w) zero-bordered image,
+/// relative to the window's first tap. `taps` holds C·K·K entries.
+void conv_taps(std::size_t channels, std::size_t kernel, std::size_t padded_h,
+               std::size_t padded_w, std::size_t* taps) noexcept;
 
 /// Backend function table. Size/shape validation happens in the callers
 /// (tensor::ops / fl::Gradient); kernels assume valid pointers and may be
@@ -74,6 +98,13 @@ struct KernelTable {
   void (*scale)(float* dst, float alpha, std::size_t n);
   void (*fill)(float* dst, float value, std::size_t n);
   bool (*has_nonfinite)(const float* x, std::size_t n);
+  /// y[i] = x[i], or +0 where x[i] < 0 (−0 and NaN pass unchanged);
+  /// pass[i] = 1 where !(x[i] <= 0) (NaN passes, ±0 do not), else 0.
+  void (*relu_forward)(const float* x, float* y, std::uint8_t* pass,
+                       std::size_t n);
+  /// gx[i] = g[i] where pass[i] != 0, else +0.
+  void (*relu_backward)(const float* g, const std::uint8_t* pass, float* gx,
+                        std::size_t n);
 
   // Matrix row kernels. A is m×k row-major unless noted, B k×n, C m×n.
   /// C rows [i0,i1) += A(i,·)·B — axpy-form over kk, C pre-zeroed.
@@ -89,6 +120,14 @@ struct KernelTable {
   void (*matmul_tn_rows)(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t k,
                          std::size_t m, std::size_t n);
+
+  /// One image's convolution, out (OC, OH, OW) row-major: out(o, oy, ox) =
+  /// ⟨W row o, the pixel's taps⟩ in matmul_nt_rows' float 8-lane order,
+  /// then + bias[o]. W is OC × patch. `padded` must stay readable for
+  /// kFloatLanes − 1 floats past the last tap of the last pixel.
+  void (*conv_forward_image)(const float* padded, const std::size_t* taps,
+                             const float* weight, const float* bias,
+                             float* out, const ConvImageShape& shape);
 };
 
 /// The scalar reference backend (always available).

@@ -5,6 +5,7 @@
 // the contract and lane_reduce.hpp for the trees being mirrored. No FMA:
 // _mm256_mul_* and _mm256_add_* stay separate roundings.
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/kernels/kernels.hpp"
 
@@ -208,6 +209,41 @@ void fill_avx2(float* dst, float value, std::size_t n) {
   for (std::size_t i = main; i < n; ++i) dst[i] = value;
 }
 
+// ReLU: the scalar backend's compares, eight lanes at a time, and its loop
+// for the last n mod 8. NLT_UQ and NLE_UQ are true for NaN, as !(x < 0)
+// and !(x <= 0) are.
+void relu_forward_avx2(const float* x, float* y, std::uint8_t* pass,
+                       std::size_t n) {
+  const std::size_t main = n - n % kLanes;
+  const __m256 zero = _mm256_setzero_ps();
+  const __m128i one = _mm_set1_epi8(1);
+  for (std::size_t i = 0; i < main; i += kLanes) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 keep = _mm256_cmp_ps(v, zero, _CMP_NLT_UQ);
+    _mm256_storeu_ps(y + i, _mm256_and_ps(v, keep));
+    // All-ones / zero lanes narrow to 0xFF / 0 bytes, then to 1 / 0.
+    const __m256i on = _mm256_castps_si256(_mm256_cmp_ps(v, zero, _CMP_NLE_UQ));
+    const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(on),
+                                      _mm256_extracti128_si256(on, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(pass + i),
+                     _mm_and_si128(_mm_packs_epi16(w, w), one));
+  }
+  scalar_table().relu_forward(x + main, y + main, pass + main, n - main);
+}
+
+void relu_backward_avx2(const float* g, const std::uint8_t* pass, float* gx,
+                        std::size_t n) {
+  const std::size_t main = n - n % kLanes;
+  const __m256i zero = _mm256_setzero_si256();
+  for (std::size_t i = 0; i < main; i += kLanes) {
+    const __m256i p = _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(pass + i)));
+    const __m256 blocked = _mm256_castsi256_ps(_mm256_cmpeq_epi32(p, zero));
+    _mm256_storeu_ps(gx + i, _mm256_andnot_ps(blocked, _mm256_loadu_ps(g + i)));
+  }
+  scalar_table().relu_backward(g + main, pass + main, gx + main, n - main);
+}
+
 bool has_nonfinite_avx2(const float* x, std::size_t n) {
   const std::size_t main = n - n % kLanes;
   const __m256 abs_mask =
@@ -234,6 +270,11 @@ bool has_nonfinite_avx2(const float* x, std::size_t n) {
 // mul + one add rounding each, exactly c += a*b of the scalar backend) and
 // is stored once. Holding C in registers across terms changes no rounding;
 // it only removes the load/store per contribution.
+//
+// The gather writes every entry and advances the count by `a != 0`, so a
+// zero's slot is overwritten by the next term: the same terms in the same
+// order as a skip, without a branch on gradient zeros, whose pattern
+// behind ReLU and max-pool is data the predictor cannot learn.
 
 struct Term {
   __m256 a;        // A entry, broadcast
@@ -311,8 +352,8 @@ void matmul_rows_avx2(const float* a, const float* b, float* c,
       std::size_t count = 0;
       for (std::size_t kk = kk0; kk < kk1; ++kk) {
         const float av = arow[kk];
-        if (av == 0.0f) continue;
-        terms[count++] = Term{_mm256_set1_ps(av), b + kk * n};
+        terms[count] = Term{_mm256_set1_ps(av), b + kk * n};
+        count += static_cast<std::size_t>(av != 0.0f);
       }
       if (count != 0) apply_terms(crow, terms, count, n);
     }
@@ -426,10 +467,92 @@ void matmul_tn_rows_avx2(const float* a, const float* b, float* c,
       // blocks ascending, kk ascending within each.
       for (std::size_t kk = kk0; kk < kk1; ++kk) {
         const float av = a[kk * m + i];
-        if (av == 0.0f) continue;
-        terms[count++] = Term{_mm256_set1_ps(av), b + kk * n};
+        terms[count] = Term{_mm256_set1_ps(av), b + kk * n};
+        count += static_cast<std::size_t>(av != 0.0f);
       }
       if (count != 0) apply_terms(c + i * n, terms, count, n);
+    }
+  }
+}
+
+// 8 adjacent output pixels of one row, starting at `x`, for two output
+// channels (weight rows w0, w1). Float lane l of the 8 pixels' dots over
+// the taps is one register, so matmul_nt_rows' 8-lane tree becomes
+// vertical adds, with no horizontal reduce, no unfold and no transposed
+// write. Lanes l and l+4 run together for both channels: four accumulator
+// chains, and each input load feeds two of them.
+inline void conv_pixels8_x2(const float* x, const std::size_t* taps,
+                            const float* w0, const float* w1,
+                            std::size_t patch, __m256& out0,
+                            __m256& out1) noexcept {
+  const std::size_t main = patch - patch % kLanes;
+  __m256 s0[4], s1[4];  // s[l] = lane[l] + lane[l+4], per channel
+  for (std::size_t l = 0; l < 4; ++l) {
+    __m256 a_lo = _mm256_setzero_ps(), a_hi = a_lo, b_lo = a_lo, b_hi = a_lo;
+    // order: float lanes l and l+4 accumulate taps kk ≡ l, l+4 (mod 8),
+    // blocks ascending — each pixel's lanes of matmul_nt_rows_scalar.
+    for (std::size_t kk = l; kk < main; kk += kLanes) {
+      const __m256 xl = _mm256_loadu_ps(x + taps[kk]);
+      const __m256 xh = _mm256_loadu_ps(x + taps[kk + 4]);
+      a_lo = _mm256_add_ps(a_lo, _mm256_mul_ps(xl, _mm256_set1_ps(w0[kk])));
+      a_hi = _mm256_add_ps(a_hi, _mm256_mul_ps(xh, _mm256_set1_ps(w0[kk + 4])));
+      b_lo = _mm256_add_ps(b_lo, _mm256_mul_ps(xl, _mm256_set1_ps(w1[kk])));
+      b_hi = _mm256_add_ps(b_hi, _mm256_mul_ps(xh, _mm256_set1_ps(w1[kk + 4])));
+    }
+    s0[l] = _mm256_add_ps(a_lo, a_hi);
+    s1[l] = _mm256_add_ps(b_lo, b_hi);
+  }
+  // order: (s0 + s2) + (s1 + s3) — reduce_lanes8f per pixel.
+  __m256 acc0 =
+      _mm256_add_ps(_mm256_add_ps(s0[0], s0[2]), _mm256_add_ps(s0[1], s0[3]));
+  __m256 acc1 =
+      _mm256_add_ps(_mm256_add_ps(s1[0], s1[2]), _mm256_add_ps(s1[1], s1[3]));
+  // order: tail taps ascending, appended after the lane tree.
+  for (std::size_t kk = main; kk < patch; ++kk) {
+    const __m256 xv = _mm256_loadu_ps(x + taps[kk]);
+    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xv, _mm256_set1_ps(w0[kk])));
+    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xv, _mm256_set1_ps(w1[kk])));
+  }
+  out0 = acc0;
+  out1 = acc1;
+}
+
+void conv_forward_image_avx2(const float* padded, const std::size_t* taps,
+                             const float* weight, const float* bias,
+                             float* out, const ConvImageShape& s) {
+  // 8 adjacent pixels are 8 adjacent floats only at stride 1, which every
+  // model uses; other strides take the scalar backend's loop.
+  if (s.stride != 1) {
+    scalar_table().conv_forward_image(padded, taps, weight, bias, out, s);
+    return;
+  }
+  const std::size_t full = s.out_w - s.out_w % kLanes;
+  const __m256i last = first_lanes(s.out_w - full);
+  const std::size_t plane = s.out_h * s.out_w;
+  for (std::size_t o0 = 0; o0 < s.out_channels; o0 += 2) {
+    // An odd channel count computes its last channel twice, stores it once.
+    const std::size_t o1 = std::min(o0 + 1, s.out_channels - 1);
+    const float* w0 = weight + o0 * s.patch;
+    const float* w1 = weight + o1 * s.patch;
+    const __m256 b0 = _mm256_set1_ps(bias[o0]);
+    const __m256 b1 = _mm256_set1_ps(bias[o1]);
+    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
+      const float* x = padded + oy * s.padded_w;
+      float* row0 = out + o0 * plane + oy * s.out_w;
+      float* row1 = out + o1 * plane + oy * s.out_w;
+      __m256 r0, r1;
+      for (std::size_t ox = 0; ox < full; ox += kLanes) {
+        conv_pixels8_x2(x + ox, taps, w0, w1, s.patch, r0, r1);
+        // order: + bias after the whole dot, the scalar backend's last add.
+        _mm256_storeu_ps(row0 + ox, _mm256_add_ps(r0, b0));
+        _mm256_storeu_ps(row1 + ox, _mm256_add_ps(r1, b1));
+      }
+      if (full < s.out_w) {
+        // The lanes past the row end read the slack; only valid lanes store.
+        conv_pixels8_x2(x + full, taps, w0, w1, s.patch, r0, r1);
+        _mm256_maskstore_ps(row0 + full, last, _mm256_add_ps(r0, b0));
+        _mm256_maskstore_ps(row1 + full, last, _mm256_add_ps(r1, b1));
+      }
     }
   }
 }
@@ -444,9 +567,12 @@ constexpr KernelTable kAvx2Table = {
     .scale = scale_avx2,
     .fill = fill_avx2,
     .has_nonfinite = has_nonfinite_avx2,
+    .relu_forward = relu_forward_avx2,
+    .relu_backward = relu_backward_avx2,
     .matmul_rows = matmul_rows_avx2,
     .matmul_nt_rows = matmul_nt_rows_avx2,
     .matmul_tn_rows = matmul_tn_rows_avx2,
+    .conv_forward_image = conv_forward_image_avx2,
 };
 
 }  // namespace

@@ -1,8 +1,9 @@
 // fifl-lint's own test bed: each fixture tree under tests/lint/fixtures/
-// violates exactly one rule (R1-R5); `waived/` carries justified waivers
-// for every violation and must lint clean; `unjustified/` shows that a
-// waiver without a justification is itself a finding. The real repo scan
-// (ctest `fifl_lint`) covers the exit-0-on-the-repo half.
+// violates exactly one rule (R1-R3 or R5-R9; R4 is retired); `waived/`
+// carries justified waivers for every violation and must lint clean;
+// `unjustified/` shows that a waiver without a justification is itself a
+// finding. The real repo scan (ctest `fifl_lint`) covers the
+// exit-0-on-the-repo half.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "tensor/ops.hpp"
 
 namespace fifl::nn {
@@ -61,23 +65,48 @@ TEST(Linear, BackwardInputGradientIsWTransposedG) {
 
 TEST(ReLU, ForwardClampsNegatives) {
   ReLU relu;
-  tensor::Tensor x({4}, std::vector<float>{-1, 0, 2, -3});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // Eleven values, so the last three run past a whole 8-float register.
+  tensor::Tensor x({11}, std::vector<float>{-1, 0, 2, -3, -0.0f, nan, -inf,
+                                            inf, -0.0f, nan, -2});
   tensor::Tensor y = relu.forward(x);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
   EXPECT_FLOAT_EQ(y[3], 0.0f);
+  // -0 and NaN are not below zero: they pass unchanged.
+  EXPECT_EQ(y[4], 0.0f);
+  EXPECT_TRUE(std::signbit(y[4]));
+  EXPECT_TRUE(std::isnan(y[5]));
+  EXPECT_EQ(y[6], 0.0f);
+  EXPECT_FALSE(std::signbit(y[6]));  // a clamped negative is +0
+  EXPECT_EQ(y[7], inf);
+  EXPECT_TRUE(std::signbit(y[8]));
+  EXPECT_TRUE(std::isnan(y[9]));
+  EXPECT_FALSE(std::signbit(y[10]));
 }
 
 TEST(ReLU, BackwardMasksByInputSign) {
   ReLU relu;
-  tensor::Tensor x({3}, std::vector<float>{-1, 0.5f, 3});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Ten inputs: the last two run past a whole 8-float register.
+  tensor::Tensor x({10}, std::vector<float>{-1, 0.5f, 3, 0.0f, -0.0f, nan,
+                                            -4, 1, -0.0f, nan});
   (void)relu.forward(x);
-  tensor::Tensor g({3}, std::vector<float>{10, 10, 10});
+  tensor::Tensor g({10}, 10.0f);
   tensor::Tensor gx = relu.backward(g);
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 10.0f);
   EXPECT_FLOAT_EQ(gx[2], 10.0f);
+  // ±0 block the gradient, NaN passes it.
+  EXPECT_FLOAT_EQ(gx[3], 0.0f);
+  EXPECT_FLOAT_EQ(gx[4], 0.0f);
+  EXPECT_FLOAT_EQ(gx[5], 10.0f);
+  EXPECT_FLOAT_EQ(gx[6], 0.0f);
+  EXPECT_FLOAT_EQ(gx[7], 10.0f);
+  EXPECT_FLOAT_EQ(gx[8], 0.0f);
+  EXPECT_FLOAT_EQ(gx[9], 10.0f);
 }
 
 TEST(Tanh, ForwardValuesAndRange) {

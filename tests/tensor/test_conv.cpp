@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -220,13 +221,38 @@ TEST(Conv, BackwardNumericalGradcheck) {
   }
 }
 
-// LeNet's two convs (k5, p2) and a stride-2, unpadded shape with a ragged
-// patch length.
+// LeNet's two convs (k5, p2), a stride-2 unpadded shape with a ragged
+// patch length, output widths around the 8-pixel register of the AVX2
+// forward (OW mod 8 = 0, 1, 7, and OW < 8), patches shorter than, and
+// exactly, one 8-lane block, MiniResNet's k3 s1 p1, and one case with
+// non-finite values and -0 planted in the input and the weights.
 struct ConvCase {
   const char* name;
   ConvSpec spec;
   Shape input;
+  bool specials = false;
 };
+
+// Plants NaN, ±Inf and -0 in x and -0, NaN and +Inf in w (one output
+// channel each, so the other channels stay finite). The NaN is x86's
+// default NaN, the one pattern its invalid operations (Inf·0, Inf − Inf)
+// produce: a NaN's payload follows whichever operand the compiler places
+// first, which the order contract does not fix, so a second pattern could
+// differ between paths whose every operation agrees.
+void plant_specials(Tensor& x, Tensor& w) {
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::size_t n = x.numel();
+  x[3] = nan;
+  x[n / 3] = inf;
+  x[n / 2] = -inf;
+  x[2 * n / 3] = -0.0f;
+  x[n - 1] = -0.0f;
+  const std::size_t per_oc = w.numel() / w.dim(0);
+  w[0] = -0.0f;
+  w[per_oc + 1] = nan;
+  w[2 * per_oc + per_oc / 2] = inf;
+}
 
 // Prints the case name, so the ctest names gtest_discover_tests derives
 // from the listing read Shapes/ConvBitwise.MatchesIm2colMatmulComposition/
@@ -239,10 +265,11 @@ TEST_P(ConvBitwise, MatchesIm2colMatmulComposition) {
   const ConvSpec& s = GetParam().spec;
   const Shape& in_shape = GetParam().input;
   util::Rng rng(0xC0DE + s.in_channels * 31 + s.stride);
-  const Tensor x = Tensor::gaussian(in_shape, rng);
-  const Tensor w =
+  Tensor x = Tensor::gaussian(in_shape, rng);
+  Tensor w =
       Tensor::gaussian({s.out_channels, s.in_channels, s.kernel, s.kernel}, rng);
   const Tensor b = Tensor::gaussian({s.out_channels}, rng);
+  if (GetParam().specials) plant_specials(x, w);
   const Tensor gy = sparse_gaussian(
       {in_shape[0], s.out_channels, s.out_dim(in_shape[2]), s.out_dim(in_shape[3])},
       rng);
@@ -275,7 +302,43 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{"c3_oc5_k3_s2_p0",
                  ConvSpec{.in_channels = 3, .out_channels = 5, .kernel = 3,
                           .stride = 2, .padding = 0},
-                 Shape{3, 3, 11, 9}}));
+                 Shape{3, 3, 11, 9}},
+        ConvCase{"c2_oc3_k3_s1_p0_ow17",
+                 ConvSpec{.in_channels = 2, .out_channels = 3, .kernel = 3,
+                          .stride = 1, .padding = 0},
+                 Shape{2, 2, 7, 19}},
+        ConvCase{"c2_oc4_k3_s1_p1_ow15",
+                 ConvSpec{.in_channels = 2, .out_channels = 4, .kernel = 3,
+                          .stride = 1, .padding = 1},
+                 Shape{2, 2, 6, 15}},
+        ConvCase{"c3_oc2_k3_s1_p1_ow7",
+                 ConvSpec{.in_channels = 3, .out_channels = 2, .kernel = 3,
+                          .stride = 1, .padding = 1},
+                 Shape{2, 3, 8, 7}},
+        ConvCase{"c3_oc2_k5_s1_p0_ow5",
+                 ConvSpec{.in_channels = 3, .out_channels = 2, .kernel = 5,
+                          .stride = 1, .padding = 0},
+                 Shape{2, 3, 9, 9}},
+        ConvCase{"c1_oc3_k1_s1_p0",
+                 ConvSpec{.in_channels = 1, .out_channels = 3, .kernel = 1,
+                          .stride = 1, .padding = 0},
+                 Shape{2, 1, 5, 11}},
+        ConvCase{"c1_oc4_k2_s1_p0",
+                 ConvSpec{.in_channels = 1, .out_channels = 4, .kernel = 2,
+                          .stride = 1, .padding = 0},
+                 Shape{2, 1, 6, 10}},
+        ConvCase{"c2_oc5_k2_s1_p1_ow8",
+                 ConvSpec{.in_channels = 2, .out_channels = 5, .kernel = 2,
+                          .stride = 1, .padding = 1},
+                 Shape{2, 2, 7, 7}},
+        ConvCase{"c8_oc16_k3_s1_p1",
+                 ConvSpec{.in_channels = 8, .out_channels = 16, .kernel = 3,
+                          .stride = 1, .padding = 1},
+                 Shape{2, 8, 14, 14}},
+        ConvCase{"specials_c2_oc4_k3_s1_p1",
+                 ConvSpec{.in_channels = 2, .out_channels = 4, .kernel = 3,
+                          .stride = 1, .padding = 1},
+                 Shape{2, 2, 9, 9}, /*specials=*/true}));
 
 TEST(Conv, BackwardRejectsMismatchedGradOutput) {
   util::Rng rng(6);

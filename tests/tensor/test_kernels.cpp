@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -122,6 +125,81 @@ TEST_F(KernelEquivalence, ElementwiseBitIdenticalAcrossSizes) {
     avx2_->fill(dv.data(), alpha, n);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_TRUE(bits_equal_f(ds[i], dv[i])) << "fill n=" << n << " i=" << i;
+    }
+
+    // ReLU over the values whose handling differs: NaNs of either sign and
+    // with payloads, ±0, ±Inf and denormals of either sign, cycled through
+    // every lane position. Its backward gets the same values as gradient,
+    // and pass bytes other than 0 and 1.
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              std::bit_cast<float>(0x7FC01234u),
+                              0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              -1e-40f};
+    std::vector<float> r = x;
+    for (std::size_t i = 0; i < n; i += 3) {
+      r[i] = specials[(i / 3) % std::size(specials)];
+    }
+    std::vector<std::uint8_t> ps(n, 7), pv(n, 9);
+    scalar_->relu_forward(r.data(), ds.data(), ps.data(), n);
+    avx2_->relu_forward(r.data(), dv.data(), pv.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(bits_equal_f(ds[i], dv[i])) << "relu_forward n=" << n << " i=" << i;
+      ASSERT_EQ(ps[i], pv[i]) << "relu_forward pass n=" << n << " i=" << i;
+    }
+    for (std::size_t i = 0; i < n; i += 5) ps[i] = static_cast<std::uint8_t>(i);
+    scalar_->relu_backward(r.data(), ps.data(), ds.data(), n);
+    avx2_->relu_backward(r.data(), ps.data(), dv.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(bits_equal_f(ds[i], dv[i])) << "relu_backward n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST_F(KernelEquivalence, ConvForwardImageBitIdenticalAtLeNetShapes) {
+  // LeNet's convs, k5 p2 at stride 1: conv1 1→6 on 28×28 (OW mod 8 = 4),
+  // conv2 6→16 on 14×14 (OW mod 8 = 6), inputs with ReLU-like zeros.
+  fifl::util::Rng rng(0xF1F11007);
+  const struct {
+    std::size_t c, oc, hw;
+  } shapes[] = {{1, 6, 28}, {6, 16, 14}};
+  constexpr std::size_t k = 5, pad = 2;
+  for (const auto& s : shapes) {
+    const std::size_t side = s.hw + 2 * pad, patch = s.c * k * k;
+    // The zero-bordered image, then the slack the kernel may read.
+    std::vector<float> padded(s.c * side * side + kernels::kFloatLanes, 0.0f);
+    const std::vector<float> v = random_vec(rng, s.c * s.hw * s.hw);
+    for (std::size_t ch = 0; ch < s.c; ++ch) {
+      for (std::size_t y = 0; y < s.hw; ++y) {
+        for (std::size_t x = 0; x < s.hw; ++x) {
+          const float e = v[(ch * s.hw + y) * s.hw + x];
+          padded[(ch * side + y + pad) * side + x + pad] = e < 0.0f ? 0.0f : e;
+        }
+      }
+    }
+    std::vector<std::size_t> taps(patch);
+    kernels::conv_taps(s.c, k, side, side, taps.data());
+    const std::vector<float> w = random_vec(rng, s.oc * patch);
+    const std::vector<float> b = random_vec(rng, s.oc);
+    const kernels::ConvImageShape shape{.padded_w = side,
+                                        .stride = 1,
+                                        .patch = patch,
+                                        .out_channels = s.oc,
+                                        .out_h = s.hw,
+                                        .out_w = s.hw};
+    std::vector<float> ys(s.oc * s.hw * s.hw, -1.0f), yv = ys;
+    scalar_->conv_forward_image(padded.data(), taps.data(), w.data(), b.data(),
+                                ys.data(), shape);
+    avx2_->conv_forward_image(padded.data(), taps.data(), w.data(), b.data(),
+                              yv.data(), shape);
+    for (std::size_t i = 0; i < ys.size(); ++i) {
+      ASSERT_TRUE(bits_equal_f(ys[i], yv[i]))
+          << "conv_forward_image c" << s.c << " oc" << s.oc << " @" << i;
     }
   }
 }
