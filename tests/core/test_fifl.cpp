@@ -236,30 +236,39 @@ TEST(FiflEngine, RewardsScaleWithRewardPool) {
 }
 
 TEST(FiflEngine, CatchUpBlockRebuildsReplicaBitIdentically) {
-  // Rejoin-by-replay: a live engine processes rounds 0-2; a crashed
-  // replica processes round 0, misses rounds 1-2, then catches up from
+  // Rejoin-by-replay: a live engine processes rounds 0-4; a crashed
+  // replica processes round 0, misses rounds 1-4, then catches up from
   // the live engine's committed blocks. Both must end bit-identical —
   // same reputations, same re-sealed block hashes, same next-round
-  // server selection.
+  // server selection. Round 3 loses every upload, so its block is a
+  // degraded one (detection rows only); round 4 loses one upload.
   const std::vector<bool> attacker{false, false, false, true};
   util::Rng rng(7);
   std::vector<std::vector<fl::Upload>> rounds;
-  for (int r = 0; r < 3; ++r) rounds.push_back(make_round(4, 16, attacker, rng));
+  for (int r = 0; r < 5; ++r) rounds.push_back(make_round(4, 16, attacker, rng));
+  for (auto& upload : rounds[3]) upload.arrived = false;
+  rounds[4][0].arrived = false;
 
   FiflEngine live(default_config(), 4, 16);
   FiflEngine rejoiner(default_config(), 4, 16);
   (void)live.process_round(rounds[0]);
   (void)rejoiner.process_round(rounds[0]);
-  (void)live.process_round(rounds[1]);
-  (void)live.process_round(rounds[2]);
+  for (std::size_t r = 1; r < rounds.size(); ++r) {
+    const RoundReport report = live.process_round(rounds[r]);
+    EXPECT_EQ(report.degraded, r == 3) << "round " << r;
+  }
+  for (const auto& rec : live.ledger().block(3).records) {
+    EXPECT_EQ(rec.kind, chain::RecordKind::kDetection);
+    EXPECT_EQ(rec.value, -1.0);
+  }
 
   ASSERT_EQ(rejoiner.round(), 1u);
-  for (std::uint64_t b = 1; b < 3; ++b) {
+  for (std::uint64_t b = 1; b < 5; ++b) {
     rejoiner.catch_up_block(live.ledger().block(b).records);
   }
-  EXPECT_EQ(rejoiner.round(), 3u);
+  EXPECT_EQ(rejoiner.round(), 5u);
   ASSERT_EQ(rejoiner.ledger().block_count(), live.ledger().block_count());
-  for (std::size_t b = 0; b < 3; ++b) {
+  for (std::size_t b = 0; b < 5; ++b) {
     // Deterministic signatures make the replayed block byte-identical.
     EXPECT_EQ(rejoiner.ledger().block(b).block_hash,
               live.ledger().block(b).block_hash)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
 
@@ -80,6 +83,40 @@ TEST(Trainer, FinalRoundAlwaysEvaluated) {
                            {.eval_every = 100});
   trainer.run(3);
   EXPECT_TRUE(trainer.history().back().evaluated);
+}
+
+TEST(Trainer, GlobalStepAppliesTheEngineGradient) {
+  // Eq. 3 on the engine's own G̃: after every FIFL round, θ equals
+  // θ_before − η·report.global_gradient bit for bit, computed with the
+  // step's float expression.
+  fl::SimulatorConfig sim_cfg;
+  sim_cfg.global_learning_rate = 0.3;
+  Harness setup = make_setup(/*attackers=*/1, 8.0, sim_cfg);
+  FederatedTrainer trainer(setup.sim.get(), setup.engine.get(),
+                           {.eval_every = 0});
+  trainer.set_trace_recorder(nullptr);
+  fl::Gradient global;
+  trainer.set_report_observer(
+      [&global](const RoundReport& report, std::span<const fl::Upload>) {
+        global = report.global_gradient;
+      });
+  const auto lr = static_cast<float>(sim_cfg.global_learning_rate);
+  for (int r = 0; r < 4; ++r) {
+    const std::vector<float> before =
+        setup.sim->global_model().flatten_parameters();
+    ASSERT_EQ(trainer.run(1), 1u);
+    const std::vector<float> after =
+        setup.sim->global_model().flatten_parameters();
+    ASSERT_EQ(global.size(), before.size());
+    ASSERT_EQ(after.size(), before.size());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      const float expected = before[i] - lr * global[i];
+      mismatches += std::bit_cast<std::uint32_t>(after[i]) !=
+                    std::bit_cast<std::uint32_t>(expected);
+    }
+    EXPECT_EQ(mismatches, 0u) << "round " << r;
+  }
 }
 
 TEST(Trainer, FedAvgModeAcceptsEveryone) {
