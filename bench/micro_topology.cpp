@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/fifl.hpp"
+#include "fl/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -72,16 +73,12 @@ BENCHMARK(BM_FullAssessmentPipeline)
     ->Args({2, 1})
     ->Unit(benchmark::kMillisecond);
 
+// fl::aggregate (Eq. 2) with every upload accepted.
 void BM_WeightedAggregate(benchmark::State& state) {
   const auto uploads = make_uploads(kDims, static_cast<std::size_t>(state.range(0)));
-  std::vector<fl::Gradient> grads;
-  std::vector<double> weights;
-  for (const auto& up : uploads) {
-    grads.push_back(up.gradient);
-    weights.push_back(static_cast<double>(up.samples));
-  }
+  const std::vector<int> accept(uploads.size(), 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fl::weighted_aggregate(grads, weights));
+    benchmark::DoNotOptimize(fl::aggregate(uploads, accept, kDims));
   }
 }
 BENCHMARK(BM_WeightedAggregate)->Arg(5)->Arg(10)->Arg(20);

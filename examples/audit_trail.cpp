@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto uploads = sim.collect_uploads();
     const auto report = engine.process_round(uploads);
-    sim.apply_round(uploads, report.detection.accepted);
+    sim.apply_gradient(report.global_gradient);
   }
   const auto& ledger = engine.ledger();
   std::printf("1. trained %zu rounds -> %zu blocks sealed\n", rounds,

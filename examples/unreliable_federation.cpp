@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     {
       const auto uploads = fifl_sim.collect_uploads();
       const auto report = engine.process_round(uploads);
-      fifl_sim.apply_round(uploads, report.detection.accepted);
+      fifl_sim.apply_gradient(report.global_gradient);
     }
     fedavg_sim.apply_round(fedavg_sim.collect_uploads());
     if ((r + 1) % 5 == 0) {

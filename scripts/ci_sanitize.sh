@@ -16,10 +16,13 @@
 #              the obs label covers the metrics/span/flight-recorder
 #              sinks that every net thread writes into, i.e. the mutexes
 #              the R6-R9 lint rules and the Clang thread-safety
-#              annotations now document; the core label covers
-#              FiflEngine's assessment path, whose detection,
-#              contribution, aggregation and ledger digests run as pool
-#              tasks; other single-threaded suites add nothing)
+#              annotations now document; the core label covers every
+#              suite that reaches the thread pool: FiflEngine's
+#              assessment path, whose detection, contribution,
+#              aggregation and ledger digests run as pool tasks, the
+#              trainer that drives it, the simulator's per-worker
+#              training tasks and the robust aggregators' parallel_for;
+#              other single-threaded suites add nothing)
 #   matrix     all three lanes in sequence (address, undefined, thread)
 #
 # Usage: scripts/ci_sanitize.sh [lane]

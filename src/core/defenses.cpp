@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "fl/simulator.hpp"
 #include "fl/topology.hpp"
 #include "tensor/ops.hpp"
 #include "util/parallel_for.hpp"
@@ -33,20 +34,12 @@ std::vector<const fl::Upload*> arrived_uploads(
 fl::Gradient FedAvgAggregator::aggregate(
     std::span<const fl::Upload> uploads) const {
   const auto arrived = arrived_uploads(uploads);
-  fl::Gradient out(arrived.front()->gradient.size());
-  double total = 0.0;
-  // order: worker upload index ascending (arrived_uploads preserves it)
-  for (const fl::Upload* up : arrived) {
-    total += static_cast<double>(up->samples);
-  }
-  if (total == 0.0) {
+  if (std::none_of(arrived.begin(), arrived.end(),
+                   [](const fl::Upload* up) { return up->samples > 0; })) {
     throw std::invalid_argument("FedAvg: zero total sample weight");
   }
-  for (const fl::Upload* up : arrived) {
-    out.axpy(static_cast<float>(static_cast<double>(up->samples) / total),
-             up->gradient);
-  }
-  return out;
+  const std::vector<int> accept_all(uploads.size(), 1);
+  return fl::aggregate(uploads, accept_all, arrived.front()->gradient.size());
 }
 
 KrumAggregator::KrumAggregator(std::size_t f, std::size_t m) : f_(f), m_(m) {
@@ -193,22 +186,8 @@ fl::Gradient FiflDetectionAggregator::aggregate(
   fl::SlicePlan plan(dims, servers_.size());
   fl::ServerCluster cluster(servers_, plan);
   DetectionModule detection(config_);
-  const DetectionResult result = detection.run(uploads, cluster);
-
-  fl::Gradient out(dims);
-  double total = 0.0;
-  // order: worker upload index ascending
-  for (std::size_t i = 0; i < uploads.size(); ++i) {
-    if (!uploads[i].arrived || !result.accepted[i]) continue;
-    total += static_cast<double>(uploads[i].samples);
-  }
-  if (total == 0.0) return out;  // everyone rejected: no-op round
-  for (std::size_t i = 0; i < uploads.size(); ++i) {
-    if (!uploads[i].arrived || !result.accepted[i]) continue;
-    out.axpy(static_cast<float>(static_cast<double>(uploads[i].samples) / total),
-             uploads[i].gradient);
-  }
-  return out;
+  // Everyone rejected: a zero G̃, a no-op round.
+  return fl::aggregate(uploads, detection.run(uploads, cluster).accepted, dims);
 }
 
 fl::Gradient NormClipAggregator::aggregate(

@@ -3,21 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
+#include "fl/simulator.hpp"
 #include "obs/scoped_timer.hpp"
-#include "tensor/kernels/kernels.hpp"
 #include "util/logging.hpp"
-#include "util/parallel_for.hpp"
 
 namespace fifl::core {
 
 namespace {
-// Elements of G̃ per aggregation task: a 16 KB block stays in L1 while
-// every accepted upload's matching segment streams through it.
-constexpr std::size_t kAggregateBlock = 4096;
+// A detection row's value: 1 accepted, 0 rejected, -1 uncertain.
+double detection_outcome(const DetectionResult& detection, std::size_t i) {
+  return detection.uncertain[i] ? -1.0
+                                : static_cast<double>(detection.accepted[i]);
+}
+
+// The reputation event (Sec. 4.2) a detection outcome records — read the
+// same way from a live round's result and from a replayed block's rows.
+Event event_of(double outcome) {
+  return outcome > 0.5    ? Event::kPositive
+         : outcome < -0.5 ? Event::kUncertain
+                          : Event::kNegative;
+}
+
+// One block row about worker `subject`, unsigned until the commit appends
+// it.
+chain::AuditRecord row(chain::RecordKind kind, std::uint64_t round,
+                       std::size_t subject, chain::NodeId executor,
+                       double value) {
+  chain::AuditRecord rec;
+  rec.kind = kind;
+  rec.round = round;
+  rec.subject = static_cast<chain::NodeId>(subject);
+  rec.executor = executor;
+  rec.value = value;
+  return rec;
+}
 }  // namespace
 
 FiflEngine::FiflEngine(FiflConfig config, std::size_t workers,
@@ -119,27 +142,12 @@ void FiflEngine::catch_up_block(std::span<const chain::AuditRecord> records) {
         std::to_string(round_));
   }
 
-  // Degraded rounds seal detection-only blocks (value -1, no kReputation
-  // rows) and skip re-selection, exactly like process_round's early return.
-  bool has_reputation = false;
   std::vector<double> rewards(workers_, 0.0);
   for (const auto& rec : records) {
-    switch (rec.kind) {
-      case chain::RecordKind::kDetection: {
-        const Event event = rec.value > 0.5    ? Event::kPositive
-                            : rec.value < -0.5 ? Event::kUncertain
-                                               : Event::kNegative;
-        reputation_.record(rec.subject, event);
-        break;
-      }
-      case chain::RecordKind::kReputation:
-        has_reputation = true;
-        break;
-      case chain::RecordKind::kReward:
-        if (rec.subject < workers_) rewards[rec.subject] = rec.value;
-        break;
-      default:
-        break;
+    if (rec.kind == chain::RecordKind::kDetection) {
+      reputation_.record(rec.subject, event_of(rec.value));
+    } else if (rec.kind == chain::RecordKind::kReward && rec.subject < workers_) {
+      rewards[rec.subject] = rec.value;
     }
   }
   for (const auto& rec : records) {
@@ -151,17 +159,45 @@ void FiflEngine::catch_up_block(std::span<const chain::AuditRecord> records) {
           " diverges from the recorded value (forked history)");
     }
   }
-  cumulative_.add_round(rewards);
+  (void)commit_round(records, rewards, /*timed=*/false);
+}
 
-  for (const auto& rec : records) {
-    ledger_.append(rec.kind, rec.round, rec.subject, rec.executor, rec.value);
+void FiflEngine::record_events(RoundReport& report) {
+  for (std::size_t i = 0; i < workers_; ++i) {
+    const Event event = event_of(detection_outcome(report.detection, i));
+    (event == Event::kPositive   ? accepted_counter_
+     : event == Event::kNegative ? rejected_counter_
+                                 : uncertain_counter_)
+        ->inc();
+    reputation_.record(static_cast<chain::NodeId>(i), event);
   }
-  ledger_.seal_block();
+  report.reputations = reputation_.all_reputations();
+  report.reputations.resize(workers_);
+}
 
-  if (has_reputation && config_.reselect_servers) {
+double FiflEngine::commit_round(std::span<const chain::AuditRecord> block,
+                                std::span<const double> rewards, bool timed) {
+  cumulative_.add_round(rewards);
+  double ledger_ms = 0.0;
+  if (config_.record_to_ledger) {
+    std::optional<obs::ScopedTimer> ledger_timer;
+    if (timed) ledger_timer.emplace(*ledger_hist_);
+    for (const auto& rec : block) {
+      ledger_.append(rec.kind, rec.round, rec.subject, rec.executor, rec.value);
+    }
+    ledger_.seal_block();
+    if (ledger_timer) ledger_ms = ledger_timer->stop();
+  }
+  // A degraded block (detection rows only) keeps this round's cluster.
+  const bool degraded = std::none_of(
+      block.begin(), block.end(), [](const chain::AuditRecord& rec) {
+        return rec.kind == chain::RecordKind::kReputation;
+      });
+  if (!degraded && config_.reselect_servers) {
     members_ = selector_.select_by_reputation(reputation_, workers_);
   }
   ++round_;
+  return ledger_ms;
 }
 
 RoundReport FiflEngine::process_round(std::span<const fl::Upload> uploads) {
@@ -190,33 +226,24 @@ RoundReport FiflEngine::process_round(std::span<const fl::Upload> uploads) {
     degraded_counter_->inc();
     report.servers = members_;
     const std::size_t n = uploads.size();
-    uncertain_counter_->inc(n);
     report.detection.scores.assign(n, std::numeric_limits<double>::quiet_NaN());
     report.detection.accepted.assign(n, 0);
     report.detection.uncertain.assign(n, 1);
     report.detection.server_scores.assign(
         plan_.servers(), std::vector<double>(n, 0.0));
-    for (std::size_t i = 0; i < n; ++i) {
-      reputation_.record(static_cast<chain::NodeId>(i), Event::kUncertain);
-    }
-    report.reputations = reputation_.all_reputations();
-    report.reputations.resize(workers_);
+    record_events(report);
     report.global_gradient = fl::Gradient(plan_.gradient_size());
     report.contribution.distances.assign(
         n, std::numeric_limits<double>::quiet_NaN());
     report.contribution.contributions.assign(n, 0.0);
     report.rewards.assign(n, 0.0);
-    cumulative_.add_round(report.rewards);
-    if (config_.record_to_ledger) {
-      obs::ScopedTimer ledger_timer(*ledger_hist_);
-      for (std::size_t i = 0; i < n; ++i) {
-        ledger_.append(chain::RecordKind::kDetection, round_,
-                       static_cast<chain::NodeId>(i), publisher(), -1.0);
-      }
-      ledger_.seal_block();
-      report.ledger_ms = ledger_timer.stop();
+    // Detection rows only, signed by the task publisher.
+    std::vector<chain::AuditRecord> block;
+    for (std::size_t i = 0; i < n; ++i) {
+      block.push_back(row(chain::RecordKind::kDetection, round_, i,
+                          publisher(), detection_outcome(report.detection, i)));
     }
-    ++round_;
+    report.ledger_ms = commit_round(block, report.rewards, /*timed=*/true);
     return report;
   }
   fl::ServerCluster cluster(bench_members, plan_);
@@ -225,58 +252,12 @@ RoundReport FiflEngine::process_round(std::span<const fl::Upload> uploads) {
   report.detect_ms = detect_timer.stop();
 
   // --- 2. reputation events ----------------------------------------------
-  for (std::size_t i = 0; i < uploads.size(); ++i) {
-    const auto id = static_cast<chain::NodeId>(i);
-    if (report.detection.uncertain[i]) {
-      uncertain_counter_->inc();
-      reputation_.record(id, Event::kUncertain);
-    } else {
-      (report.detection.accepted[i] ? accepted_counter_ : rejected_counter_)
-          ->inc();
-      reputation_.record(id, report.detection.accepted[i] ? Event::kPositive
-                                                          : Event::kNegative);
-    }
-  }
-  report.reputations = reputation_.all_reputations();
-  report.reputations.resize(workers_);
+  record_events(report);
 
   // --- 3. aggregation over accepted uploads (Eq. 2 with r_i mask) --------
   obs::ScopedTimer aggregate_timer(*aggregate_hist_);
-  report.global_gradient = fl::Gradient(plan_.gradient_size());
-  double total_weight = 0.0;
-  // order: worker upload index ascending (fixed engine-input order)
-  for (std::size_t i = 0; i < uploads.size(); ++i) {
-    if (!uploads[i].arrived || !report.detection.accepted[i]) continue;
-    total_weight += static_cast<double>(uploads[i].samples);
-  }
-  if (total_weight > 0.0) {
-    const std::size_t width = plan_.gradient_size();
-    // (weight, gradient) of each accepted upload, worker index ascending.
-    std::vector<std::pair<float, const float*>> terms;
-    for (std::size_t i = 0; i < uploads.size(); ++i) {
-      if (!uploads[i].arrived || !report.detection.accepted[i]) continue;
-      if (uploads[i].gradient.size() != width) {
-        throw std::invalid_argument("FiflEngine: upload gradient size mismatch");
-      }
-      terms.emplace_back(
-          static_cast<float>(static_cast<double>(uploads[i].samples) / total_weight),
-          uploads[i].gradient.data());
-    }
-    // One pool task per element block of G̃ applies every accepted upload
-    // in ascending worker order. axpy is elementwise, so neither the block
-    // size nor the pool size changes a byte.
-    const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-    float* global = report.global_gradient.data();
-    const auto aggregate_block = [&](std::size_t b) {
-      const std::size_t lo = b * kAggregateBlock;
-      const std::size_t len = std::min(kAggregateBlock, width - lo);
-      for (const auto& [weight, gradient] : terms) {
-        kt.axpy(global + lo, weight, gradient + lo, len);
-      }
-    };
-    util::parallel_for(0, (width + kAggregateBlock - 1) / kAggregateBlock,
-                       aggregate_block, /*grain=*/1);
-  }
+  report.global_gradient = fl::aggregate(uploads, report.detection.accepted,
+                                         plan_.gradient_size());
 
   // --- 4. contribution (Eq. 13-14) ----------------------------------------
   report.contribution = contribution_.run(uploads, report.global_gradient);
@@ -284,38 +265,25 @@ RoundReport FiflEngine::process_round(std::span<const fl::Upload> uploads) {
   // --- 5. incentive (Eq. 15) ----------------------------------------------
   report.rewards =
       incentive_.rewards(report.reputations, report.contribution.contributions);
-  cumulative_.add_round(report.rewards);
   report.fairness = fairness_among_contributors(
       report.contribution.contributions, report.rewards);
   report.aggregate_ms = aggregate_timer.stop();
 
-  // --- 6. audit trail ------------------------------------------------------
-  if (config_.record_to_ledger) {
-    obs::ScopedTimer ledger_timer(*ledger_hist_);
-    const chain::NodeId leader = bench_members.front();
-    for (std::size_t i = 0; i < uploads.size(); ++i) {
-      const auto id = static_cast<chain::NodeId>(i);
-      // Detection outcome: 1 accepted, 0 rejected, -1 uncertain.
-      const double outcome = report.detection.uncertain[i]
-                                 ? -1.0
-                                 : static_cast<double>(report.detection.accepted[i]);
-      ledger_.append(chain::RecordKind::kDetection, round_, id, leader, outcome);
-      ledger_.append(chain::RecordKind::kReputation, round_, id, leader,
-                     report.reputations[i]);
-      ledger_.append(chain::RecordKind::kContribution, round_, id, leader,
-                     report.contribution.contributions[i]);
-      ledger_.append(chain::RecordKind::kReward, round_, id, publisher(),
-                     report.rewards[i]);
-    }
-    ledger_.seal_block();
-    report.ledger_ms = ledger_timer.stop();
+  // --- 6. audit trail, 7. re-selection for the next round ----------------
+  const chain::NodeId leader = bench_members.front();
+  std::vector<chain::AuditRecord> block;
+  block.reserve(4 * uploads.size());
+  for (std::size_t i = 0; i < uploads.size(); ++i) {
+    block.push_back(row(chain::RecordKind::kDetection, round_, i, leader,
+                        detection_outcome(report.detection, i)));
+    block.push_back(row(chain::RecordKind::kReputation, round_, i, leader,
+                        report.reputations[i]));
+    block.push_back(row(chain::RecordKind::kContribution, round_, i, leader,
+                        report.contribution.contributions[i]));
+    block.push_back(row(chain::RecordKind::kReward, round_, i, publisher(),
+                        report.rewards[i]));
   }
-
-  // --- 7. reputation-based server re-selection for the next round --------
-  if (config_.reselect_servers) {
-    members_ = selector_.select_by_reputation(reputation_, workers_);
-  }
-  ++round_;
+  report.ledger_ms = commit_round(block, report.rewards, /*timed=*/true);
   return report;
 }
 

@@ -116,6 +116,19 @@ class FiflEngine {
   std::vector<chain::NodeId> effective_members(
       std::span<const fl::Upload> uploads) const;
 
+  /// Records each worker's reputation event for its detection outcome,
+  /// counts it, and copies R_i into the report (both process_round exits).
+  void record_events(RoundReport& report);
+
+  /// The one block commit of a live, degraded or replayed round: adds
+  /// `rewards` to the cumulative totals, appends and seals `block` (when
+  /// recording), re-selects the cluster unless the block is degraded (no
+  /// kReputation rows), then advances the round. Returns the append + seal
+  /// time, which only `timed` (process_round) commits record into
+  /// fifl.ledger_ms.
+  double commit_round(std::span<const chain::AuditRecord> block,
+                      std::span<const double> rewards, bool timed);
+
   FiflConfig config_;
   std::size_t workers_;
   fl::SlicePlan plan_;

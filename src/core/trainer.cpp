@@ -37,7 +37,7 @@ RoundRecord FederatedTrainer::execute_round() {
   const fl::SimPhaseTimes& sim_times = simulator_->last_phase_times();
   if (engine_) {
     const RoundReport report = engine_->process_round(uploads);
-    simulator_->apply_round(uploads, report.detection.accepted);
+    simulator_->apply_gradient(report.global_gradient);
     summarize_report(report, uploads, record);
     if (tracing) {
       pending_trace_ = make_round_trace(record.round, report, uploads);

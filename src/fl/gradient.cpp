@@ -73,36 +73,6 @@ std::span<float> SlicePlan::slice(Gradient& g, std::size_t j) const {
   return g.flat().subspan(offset(j), slice_size(j));
 }
 
-Gradient weighted_aggregate(std::span<const Gradient> gradients,
-                            std::span<const double> weights) {
-  if (gradients.size() != weights.size()) {
-    throw std::invalid_argument("weighted_aggregate: count mismatch");
-  }
-  double total = 0.0;
-  std::size_t size = 0;
-  for (std::size_t i = 0; i < gradients.size(); ++i) {
-    if (weights[i] < 0.0) {
-      throw std::invalid_argument("weighted_aggregate: negative weight");
-    }
-    if (weights[i] == 0.0) continue;
-    if (size == 0) {
-      size = gradients[i].size();
-    } else if (gradients[i].size() != size) {
-      throw std::invalid_argument("weighted_aggregate: size mismatch");
-    }
-    total += weights[i];
-  }
-  if (total == 0.0 || size == 0) {
-    throw std::invalid_argument("weighted_aggregate: all weights zero");
-  }
-  Gradient out(size);
-  for (std::size_t i = 0; i < gradients.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    out.axpy(static_cast<float>(weights[i] / total), gradients[i]);
-  }
-  return out;
-}
-
 void recombine_into(const SlicePlan& plan,
                     std::span<const std::span<const float>> slices,
                     Gradient& out) {

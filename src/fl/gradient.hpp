@@ -70,11 +70,6 @@ class SlicePlan {
   std::vector<std::size_t> offsets_;
 };
 
-/// Weighted average of gradients: G̃ = Σ w_i G_i / Σ w_i (Eq. 2). Entries
-/// with weight 0 are skipped; throws if all weights are 0 or sizes differ.
-Gradient weighted_aggregate(std::span<const Gradient> gradients,
-                            std::span<const double> weights);
-
 /// Recombine(g̃^1..g̃^M): concatenates slices back into a full gradient.
 Gradient recombine(const SlicePlan& plan,
                    const std::vector<std::vector<float>>& slices);

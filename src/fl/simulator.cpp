@@ -1,17 +1,27 @@
 #include "fl/simulator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <numeric>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "data/partition.hpp"
 #include "obs/scoped_timer.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
+#include "util/parallel_for.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fifl::fl {
+
+namespace {
+// Elements of G̃ per aggregation task: a 16 KB block stays in L1 while
+// every accepted upload's matching segment streams through it.
+constexpr std::size_t kAggregateBlock = 4096;
+}  // namespace
 
 FederationInit make_federation_init(const SimulatorConfig& config,
                                     const ModelFactory& factory,
@@ -45,17 +55,62 @@ FederationInit make_federation_init(const SimulatorConfig& config,
   return init;
 }
 
+Gradient aggregate(std::span<const Upload> uploads, std::span<const int> accept,
+                   std::size_t width) {
+  if (accept.size() != uploads.size()) {
+    throw std::invalid_argument("aggregate: mask size mismatch");
+  }
+  Gradient out(width);
+  double total_weight = 0.0;
+  // order: upload index ascending (fixed input order)
+  for (std::size_t i = 0; i < uploads.size(); ++i) {
+    if (!uploads[i].arrived || !accept[i]) continue;
+    total_weight += static_cast<double>(uploads[i].samples);
+  }
+  if (total_weight == 0.0) return out;
+  // (weight, gradient) of each accepted upload, upload index ascending.
+  std::vector<std::pair<float, const float*>> terms;
+  for (std::size_t i = 0; i < uploads.size(); ++i) {
+    if (!uploads[i].arrived || !accept[i]) continue;
+    if (uploads[i].gradient.size() != width) {
+      throw std::invalid_argument("aggregate: upload gradient size mismatch");
+    }
+    terms.emplace_back(
+        static_cast<float>(static_cast<double>(uploads[i].samples) / total_weight),
+        uploads[i].gradient.data());
+  }
+  // One pool task per element block of G̃ applies every accepted upload in
+  // ascending upload order. axpy is elementwise, so neither the block size
+  // nor the pool size changes a byte.
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  float* global = out.data();
+  const auto aggregate_block = [&](std::size_t b) {
+    const std::size_t lo = b * kAggregateBlock;
+    const std::size_t len = std::min(kAggregateBlock, width - lo);
+    for (const auto& [weight, gradient] : terms) {
+      kt.axpy(global + lo, weight, gradient + lo, len);
+    }
+  };
+  util::parallel_for(0, (width + kAggregateBlock - 1) / kAggregateBlock,
+                     aggregate_block, /*grain=*/1);
+  return out;
+}
+
 void apply_gradient_step(nn::Sequential& model, const Gradient& gradient,
                          double learning_rate) {
-  std::vector<float> params = model.flatten_parameters();
-  if (params.size() != gradient.size()) {
+  if (model.parameter_count() != gradient.size()) {
     throw std::invalid_argument("apply_gradient_step: size mismatch");
   }
+  // The reference expression itself, not the axpy kernel with −η: θ keeps
+  // the reference step's bits by construction, NaN and ±0 included.
   const auto lr = static_cast<float>(learning_rate);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i] -= lr * gradient[i];
+  const float* g = gradient.data();
+  for (nn::Parameter* p : model.parameters()) {
+    float* theta = p->value.data();
+    const std::size_t n = p->value.numel();
+    for (std::size_t i = 0; i < n; ++i) theta[i] -= lr * g[i];
+    g += n;
   }
-  model.load_parameters(params);
 }
 
 Simulator::Simulator(SimulatorConfig config, const ModelFactory& factory,
@@ -141,32 +196,16 @@ std::vector<int> Simulator::sample_participants(double fraction,
   return mask;
 }
 
-Gradient Simulator::aggregate(std::span<const Upload> uploads,
-                              std::span<const int> accept) const {
-  if (uploads.size() != accept.size()) {
-    throw std::invalid_argument("Simulator::aggregate: mask size mismatch");
-  }
-  Gradient out(param_count_);
-  double total_weight = 0.0;
-  for (std::size_t i = 0; i < uploads.size(); ++i) {
-    if (!accept[i] || !uploads[i].arrived) continue;
-    total_weight += static_cast<double>(uploads[i].samples);
-  }
-  if (total_weight == 0.0) return out;
-  for (std::size_t i = 0; i < uploads.size(); ++i) {
-    if (!accept[i] || !uploads[i].arrived) continue;
-    const auto w = static_cast<float>(
-        static_cast<double>(uploads[i].samples) / total_weight);
-    out.axpy(w, uploads[i].gradient);
-  }
-  return out;
-}
-
 Gradient Simulator::apply_round(std::span<const Upload> uploads,
                                 std::span<const int> accept) {
-  Gradient agg = aggregate(uploads, accept);
-  apply_gradient_step(*global_model_, agg, config_.global_learning_rate);
+  Gradient agg = aggregate(uploads, accept, param_count_);
+  apply_gradient(agg);
   return agg;
+}
+
+void Simulator::apply_gradient(const Gradient& global_gradient) {
+  apply_gradient_step(*global_model_, global_gradient,
+                      config_.global_learning_rate);
 }
 
 Gradient Simulator::apply_round(std::span<const Upload> uploads) {

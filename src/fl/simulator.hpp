@@ -5,7 +5,7 @@
 // through the lossy channel; (3) the caller decides an acceptance mask
 // (plain FedAvg accepts everything that arrived; FIFL's detection module
 // rejects attackers) and the simulator aggregates per Eq. 2 and steps the
-// global model per Eq. 3.
+// global model per Eq. 3 — or steps with a G̃ the caller already holds.
 //
 // Keeping the accept-mask decision *outside* the simulator is the seam
 // that lets the same mechanics run FedAvg baselines and FIFL side by side.
@@ -64,8 +64,22 @@ FederationInit make_federation_init(const SimulatorConfig& config,
                                     const ModelFactory& factory,
                                     std::vector<WorkerSetup> workers);
 
-/// θ ← θ − η·G̃ (Eq. 3), the single global-step implementation both the
-/// Simulator and net::ServerNode use (same float ops, same order).
+/// G̃ = Σ n_i·G_i / Σ n_i over the uploads that arrived with accept[i] != 0
+/// (Eq. 2 with the r_i mask of Eq. 7), `width` elements long: the one
+/// aggregation FiflEngine, the Simulator and the FedAvg and FIFL-detection
+/// baselines share. G̃ is zero when nothing is accepted or the accepted
+/// samples sum to 0. Element blocks of G̃ run as tasks on
+/// util::ThreadPool::global() (serially when called from a pool task), and
+/// each element adds its terms in ascending upload order, so the bytes do
+/// not depend on the pool. Throws std::invalid_argument if accept and
+/// uploads differ in size or an accepted upload is not `width` long.
+Gradient aggregate(std::span<const Upload> uploads, std::span<const int> accept,
+                   std::size_t width);
+
+/// θ ← θ − η·G̃ (Eq. 3) in place, θ[i] -= η·G̃[i] in each parameter
+/// tensor: the single global-step implementation the Simulator, the
+/// trainer and net::ServerNode use (same float ops, same order). Throws
+/// std::invalid_argument if G̃ is not parameter-count long.
 void apply_gradient_step(nn::Sequential& model, const Gradient& gradient,
                          double learning_rate);
 
@@ -102,17 +116,18 @@ class Simulator {
   std::vector<int> sample_participants(double fraction, util::Rng& rng) const;
 
   /// Phase 3: aggregate uploads i with accept[i] != 0 weighted by n_i
-  /// (Eq. 2 with the r_i mask of Eq. 7) and apply θ ← θ − η·G̃ (Eq. 3).
-  /// Returns G̃. If nothing is accepted the round is a no-op (zero G̃).
+  /// (fl::aggregate) and apply θ ← θ − η·G̃ (Eq. 3). Returns G̃. If nothing
+  /// is accepted the round is a no-op (zero G̃).
   Gradient apply_round(std::span<const Upload> uploads,
                        std::span<const int> accept);
 
   /// FedAvg: accept every upload that arrived.
   Gradient apply_round(std::span<const Upload> uploads);
 
-  /// Aggregate without stepping the model (used by analysis benches).
-  Gradient aggregate(std::span<const Upload> uploads,
-                     std::span<const int> accept) const;
+  /// θ ← θ − η·G̃ (Eq. 3) with a G̃ aggregated elsewhere — the trainer
+  /// steps with FiflEngine's report.global_gradient instead of
+  /// aggregating the round a second time.
+  void apply_gradient(const Gradient& global_gradient);
 
   /// Test loss/accuracy of the current global model. If the model has
   /// diverged to non-finite parameters, returns {NaN, chance-level}.

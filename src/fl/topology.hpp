@@ -39,7 +39,7 @@ class ServerCluster {
   /// gradients — the per-round engine path, which used to copy every
   /// slice into fresh std::vectors each round. Valid only while `uploads`
   /// outlives the views and is not mutated; callers that need the slices
-  /// to survive the round snapshot them into a GradientArena instead.
+  /// to survive the round copy them.
   std::vector<std::span<const float>> benchmark_views(
       std::span<const Upload> uploads) const;
 

@@ -173,34 +173,30 @@ const std::vector<NetRoundResult>& Cluster::run() {
   for (std::exception_ptr& failure : failures) {
     if (failure) std::rethrow_exception(failure);
   }
-  if (config_.rotate_executor || config_.failover) {
-    // The executor role moved at runtime: each server holds the results
-    // of the rounds it drove. Merge in round order; a re-driven round
-    // (its first executor crashed after finishing it) appears twice with
-    // bit-identical content, so first writer wins.
-    merged_results_.clear();
-    for (auto& node : server_nodes_) {
-      for (const NetRoundResult& row : node->results()) {
-        merged_results_.push_back(row);
-      }
+  // Each server holds the results of the rounds it drove: the lead alone
+  // under a fixed executor, any server once rotation or failover moved the
+  // role. Merge in round order; a re-driven round (its first executor
+  // crashed after finishing it) appears twice with bit-identical content,
+  // so first writer wins.
+  merged_results_.clear();
+  for (auto& node : server_nodes_) {
+    for (const NetRoundResult& row : node->results()) {
+      merged_results_.push_back(row);
     }
-    std::stable_sort(merged_results_.begin(), merged_results_.end(),
-                     [](const NetRoundResult& a, const NetRoundResult& b) {
-                       return a.round < b.round;
-                     });
-    merged_results_.erase(
-        std::unique(merged_results_.begin(), merged_results_.end(),
-                    [](const NetRoundResult& a, const NetRoundResult& b) {
-                      return a.round == b.round;
-                    }),
-        merged_results_.end());
-    util::log_info() << "net: cluster finished " << merged_results_.size()
-                     << " rounds";
-    return merged_results_;
   }
-  util::log_info() << "net: cluster finished "
-                   << server_nodes_.at(0)->results().size() << " rounds";
-  return server_nodes_.at(0)->results();
+  std::stable_sort(merged_results_.begin(), merged_results_.end(),
+                   [](const NetRoundResult& a, const NetRoundResult& b) {
+                     return a.round < b.round;
+                   });
+  merged_results_.erase(
+      std::unique(merged_results_.begin(), merged_results_.end(),
+                  [](const NetRoundResult& a, const NetRoundResult& b) {
+                    return a.round == b.round;
+                  }),
+      merged_results_.end());
+  util::log_info() << "net: cluster finished " << merged_results_.size()
+                   << " rounds";
+  return merged_results_;
 }
 
 fl::Evaluation Cluster::final_evaluation() {

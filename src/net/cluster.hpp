@@ -67,11 +67,10 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Runs every node to completion and returns the per-round results —
-  /// the lead's under a fixed executor, merged across every server (in
-  /// round order, first writer wins on a re-driven round) under
-  /// rotation/failover. Rethrows the first node failure (after stopping
-  /// the rest).
+  /// Runs every node to completion and returns the per-round results,
+  /// merged across every server in round order (first writer wins on a
+  /// re-driven round); under a fixed executor they are the lead's rows.
+  /// Rethrows the first node failure (after stopping the rest).
   const std::vector<NetRoundResult>& run();
 
   /// Test loss/accuracy of the final global model: the θ replica that
@@ -102,7 +101,7 @@ class Cluster {
   std::shared_ptr<Transport> transport_;
   std::vector<std::unique_ptr<WorkerNode>> worker_nodes_;
   std::vector<std::unique_ptr<ServerNode>> server_nodes_;
-  /// Rotation/failover only: round results merged across all servers.
+  /// Round results merged across all servers.
   std::vector<NetRoundResult> merged_results_;
   bool ran_ = false;
 };

@@ -935,9 +935,9 @@ void ServerNode::run_executor() {
       return;  // demoted (a successor re-drives r) or stopped
     }
 
-    // θ ← θ − η·G̃ — identical float ops to Simulator::apply_round because
-    // the engine's aggregation loop is the simulator's (and the follower
-    // slices were just proven bitwise equal).
+    // θ ← θ − η·G̃ — the step FederatedTrainer takes, through the same
+    // function with the engine's G̃ (the follower slices were just proven
+    // bitwise equal).
     fl::apply_gradient_step(*global_model_, report.global_gradient,
                             config_.global_learning_rate);
     theta_round_ = r + 1;
@@ -999,11 +999,9 @@ void ServerNode::broadcast_round(std::uint64_t r,
   broadcast.round = r;
   broadcast.checkpoint =
       nn::checkpoint_bytes(*global_model_, "round-" + std::to_string(r));
-  round_arena_.reset();
-  const std::span<float> theta_buf =
-      round_arena_.alloc(global_model_->parameter_count());
-  global_model_->flatten_parameters_into(theta_buf);
-  const std::span<const float> theta = theta_buf;
+  theta_.resize(global_model_->parameter_count());
+  global_model_->flatten_parameters_into(theta_);
+  const std::span<const float> theta = theta_;
   std::map<std::uint64_t, std::optional<ModelBroadcastMsg>> delta_cache;
   const auto redriven = pending_uploads_.find(r);
   for (std::uint32_t i = 0; i < topology_.workers; ++i) {
@@ -1082,13 +1080,11 @@ void ServerNode::record_round(std::uint64_t r, const core::RoundReport& report,
                               const CounterSnapshot& net_before) {
   NetRoundResult result;
   result.round = r;
-  // θ changed at the apply step, so stage the updated parameters in a
-  // second arena span (the broadcast span stays valid until the next
-  // reset()).
-  const std::span<float> theta_next =
-      round_arena_.alloc(global_model_->parameter_count());
-  global_model_->flatten_parameters_into(theta_next);
-  result.model_hash = parameter_hash(theta_next);
+  // θ changed at the apply step; the broadcast is long sent, so the same
+  // buffer takes the updated parameters.
+  theta_.resize(global_model_->parameter_count());
+  global_model_->flatten_parameters_into(theta_);
+  result.model_hash = parameter_hash(theta_);
   result.degraded = report.degraded;
   result.fairness = report.fairness;
   result.reputations = report.reputations;
@@ -1122,7 +1118,7 @@ void ServerNode::record_round(std::uint64_t r, const core::RoundReport& report,
     trace.has_net = true;
     recorder->record(trace);
   }
-  if (round_callback_) round_callback_(result, theta_next);
+  if (round_callback_) round_callback_(result, theta_);
   results_.push_back(std::move(result));
 }
 

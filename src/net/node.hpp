@@ -85,7 +85,6 @@
 #include <vector>
 
 #include "core/fifl.hpp"
-#include "fl/arena.hpp"
 #include "fl/simulator.hpp"
 #include "net/tracing.hpp"
 #include "net/transport.hpp"
@@ -487,10 +486,10 @@ class ServerNode {
   /// node's run thread (run_executor / run_follower round loops), never
   /// from handlers on other threads.
   std::vector<fl::Upload> upload_scratch_;
-  /// Per-round θ staging (broadcast, model hash, round callback): bump
-  /// spans reused round after round instead of a fresh parameter-sized
-  /// vector per flatten. Same threading rule as upload_scratch_.
-  fl::GradientArena round_arena_;
+  /// Flat θ, reused round after round: the broadcast's copy, then (once
+  /// the broadcast is sent) the stepped θ for the model hash and the round
+  /// callback. Same threading rule as upload_scratch_.
+  std::vector<float> theta_;
   std::size_t joined_workers_ = 0;
   std::size_t joined_servers_ = 0;
   /// Lead only: liveness bookkeeping (last traffic per worker, workers

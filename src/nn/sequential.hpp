@@ -47,8 +47,8 @@ class Sequential final : public Layer {
   /// Copy all parameter values into one flat vector (layer order).
   std::vector<float> flatten_parameters();
   /// Same, into a caller-provided buffer of exactly parameter_count()
-  /// floats — the per-round engine path stages θ in a GradientArena span
-  /// instead of allocating a fresh vector every round.
+  /// floats — net::ServerNode reuses one θ buffer round after round
+  /// instead of allocating a fresh vector per flatten.
   void flatten_parameters_into(std::span<float> out);
   /// Copy all parameter gradients into one flat vector (layer order).
   std::vector<float> flatten_gradients();

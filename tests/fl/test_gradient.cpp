@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "fl/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace fifl::fl {
@@ -84,32 +85,46 @@ TEST(SlicePlan, SizeMismatchThrows) {
   EXPECT_THROW((void)plan.slice(wrong, 0), std::invalid_argument);
 }
 
+// fl::aggregate, the one Eq. 2 implementation (declared in
+// fl/simulator.hpp): G̃ = Σ n_i·G_i / Σ n_i over the accepted uploads.
+Upload upload_of(std::vector<float> values, std::size_t samples,
+                 bool arrived = true) {
+  Upload up;
+  up.samples = samples;
+  up.gradient = Gradient(std::move(values));
+  up.arrived = arrived;
+  return up;
+}
+
 TEST(WeightedAggregate, MatchesEquationTwo) {
-  std::vector<Gradient> grads;
-  grads.emplace_back(std::vector<float>{1, 0});
-  grads.emplace_back(std::vector<float>{0, 1});
-  const std::vector<double> weights{3.0, 1.0};
-  Gradient agg = weighted_aggregate(grads, weights);
+  const std::vector<Upload> uploads{upload_of({1, 0}, 30),
+                                    upload_of({0, 1}, 10)};
+  const Gradient agg = aggregate(uploads, std::vector<int>{1, 1}, 2);
   EXPECT_FLOAT_EQ(agg[0], 0.75f);
   EXPECT_FLOAT_EQ(agg[1], 0.25f);
 }
 
 TEST(WeightedAggregate, ZeroWeightEntriesSkipped) {
-  std::vector<Gradient> grads;
-  grads.emplace_back(std::vector<float>{1, 1});
-  grads.emplace_back(std::vector<float>{100, 100});
-  Gradient agg = weighted_aggregate(grads, std::vector<double>{1.0, 0.0});
+  // Rejected and absent uploads carry no weight; with nothing accepted, or
+  // no accepted samples, G̃ is zero.
+  std::vector<Upload> uploads{upload_of({1, 1}, 10), upload_of({100, 100}, 10),
+                              upload_of({-50, -50}, 10, /*arrived=*/false)};
+  const std::vector<int> first_and_absent{1, 0, 1};
+  const Gradient agg = aggregate(uploads, first_and_absent, 2);
   EXPECT_FLOAT_EQ(agg[0], 1.0f);
+  EXPECT_FLOAT_EQ(agg[1], 1.0f);
+  const Gradient none = aggregate(uploads, std::vector<int>{0, 0, 0}, 2);
+  ASSERT_EQ(none.size(), 2u);
+  EXPECT_DOUBLE_EQ(none.squared_norm(), 0.0);
+  uploads[0].samples = 0;
+  EXPECT_DOUBLE_EQ(aggregate(uploads, first_and_absent, 2).squared_norm(), 0.0);
 }
 
 TEST(WeightedAggregate, ErrorsOnBadInput) {
-  std::vector<Gradient> grads;
-  grads.emplace_back(std::vector<float>{1});
-  EXPECT_THROW((void)weighted_aggregate(grads, std::vector<double>{1.0, 2.0}),
+  const std::vector<Upload> uploads{upload_of({1}, 10)};
+  EXPECT_THROW((void)aggregate(uploads, std::vector<int>{1, 1}, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)weighted_aggregate(grads, std::vector<double>{-1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)weighted_aggregate(grads, std::vector<double>{0.0}),
+  EXPECT_THROW((void)aggregate(uploads, std::vector<int>{1}, 2),
                std::invalid_argument);
 }
 

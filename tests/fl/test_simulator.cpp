@@ -72,7 +72,7 @@ TEST(Simulator, AcceptMaskExcludesWorkers) {
   Simulator sim = make_sim(honest(3));
   const auto uploads = sim.collect_uploads();
   const std::vector<int> only_first{1, 0, 0};
-  Gradient agg = sim.aggregate(uploads, only_first);
+  Gradient agg = aggregate(uploads, only_first, sim.parameter_count());
   for (std::size_t i = 0; i < agg.size(); i += 101) {
     EXPECT_FLOAT_EQ(agg[i], uploads[0].gradient[i]);
   }
@@ -91,7 +91,7 @@ TEST(Simulator, AggregateWeightsBySampleCount) {
   Simulator sim({}, small_factory(), std::move(setups), split.test);
   const auto uploads = sim.collect_uploads();
   const std::vector<int> all{1, 1};
-  Gradient agg = sim.aggregate(uploads, all);
+  Gradient agg = aggregate(uploads, all, sim.parameter_count());
   for (std::size_t i = 0; i < agg.size(); i += 211) {
     const float expect =
         0.75f * uploads[0].gradient[i] + 0.25f * uploads[1].gradient[i];
@@ -134,7 +134,7 @@ TEST(Simulator, DroppedUploadsAreExcludedFromAggregation) {
   auto uploads = sim.collect_uploads();
   uploads[1].arrived = false;
   const std::vector<int> all{1, 1};
-  Gradient agg = sim.aggregate(uploads, all);
+  Gradient agg = aggregate(uploads, all, sim.parameter_count());
   for (std::size_t i = 0; i < agg.size(); i += 101) {
     EXPECT_FLOAT_EQ(agg[i], uploads[0].gradient[i]);
   }
