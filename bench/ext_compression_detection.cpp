@@ -45,7 +45,7 @@ int main() {
     for (std::size_t r = 0; r < rounds; ++r) {
       const auto uploads = fed.sim->collect_uploads();
       const auto report = engine.process_round(uploads);
-      fed.sim->apply_round(uploads, report.detection.accepted);
+      fed.sim->apply_gradient(report.global_gradient);
       for (std::size_t i = 0; i < uploads.size(); ++i) {
         if (report.detection.uncertain[i]) continue;
         if (uploads[i].ground_truth_attack) {

@@ -44,7 +44,7 @@ int main() {
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto uploads = fed.sim->collect_uploads();
     const auto report = engine.process_round(uploads);
-    fed.sim->apply_round(uploads, report.detection.accepted);
+    fed.sim->apply_gradient(report.global_gradient);
     (void)fli.step(budget_per_round, report.contribution.contributions);
   }
 

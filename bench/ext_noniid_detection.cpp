@@ -51,7 +51,7 @@ Outcome run(double alpha, std::size_t rounds) {
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto uploads = sim.collect_uploads();
     const auto report = engine.process_round(uploads);
-    sim.apply_round(uploads, report.detection.accepted);
+    sim.apply_gradient(report.global_gradient);
     for (std::size_t i = 0; i < uploads.size(); ++i) {
       if (report.detection.uncertain[i]) continue;
       if (uploads[i].ground_truth_attack) {

@@ -54,7 +54,7 @@ SweepResult run_sweep(double p_s, const std::vector<double>& thresholds,
     // Drive training (and server selection) with the middle threshold.
     engine.detection().set_threshold(thresholds[thresholds.size() / 2]);
     const auto report = engine.process_round(uploads);
-    fed.sim->apply_round(uploads, report.detection.accepted);
+    fed.sim->apply_gradient(report.global_gradient);
 
     // Re-score the same uploads under each threshold.
     fl::ServerCluster cluster(report.servers, engine.plan());

@@ -41,7 +41,7 @@ Series run(bool with_detection, std::size_t rounds, std::size_t eval_every,
     const auto uploads = fed.sim->collect_uploads();
     if (with_detection) {
       const auto report = engine.process_round(uploads);
-      fed.sim->apply_round(uploads, report.detection.accepted);
+      fed.sim->apply_gradient(report.global_gradient);
     } else {
       fed.sim->apply_round(uploads);
     }

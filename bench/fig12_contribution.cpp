@@ -58,7 +58,7 @@ int main() {
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto uploads = fed.sim->collect_uploads();
     const auto report = engine.process_round(uploads);
-    fed.sim->apply_round(uploads, report.detection.accepted);
+    fed.sim->apply_gradient(report.global_gradient);
     std::vector<std::string> row{std::to_string(r + 1)};
     for (std::size_t k = 0; k < p_d.size(); ++k) {
       const double c = report.contribution.contributions[k];

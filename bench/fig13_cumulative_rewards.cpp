@@ -60,7 +60,7 @@ int main() {
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto uploads = fed.sim->collect_uploads();
     const auto report = engine.process_round(uploads);
-    fed.sim->apply_round(uploads, report.detection.accepted);
+    fed.sim->apply_gradient(report.global_gradient);
     if ((r + 1) % 2 == 0) {
       std::vector<std::string> row{std::to_string(r + 1)};
       for (std::size_t k = 0; k < p_d.size(); ++k) {

@@ -9,21 +9,37 @@
 
 #include "chain/ledger.hpp"
 #include "chain/replicated.hpp"
+#include "chain/sha256_compress.hpp"
 #include "net/messages.hpp"
 
 namespace {
 
 using namespace fifl::chain;
 
+// One SHA-256 of range(0) bytes — up to θ's width in cluster_tcp
+// (279,880 B, the per-round parameter_hash) — through the compression
+// range(1) names: 0 = portable, 1 = SHA extensions. The label names the
+// backend; the SHA-extensions leg reports an error where the build or the
+// CPU lacks them. `sha256()` itself runs the backend Sha256 selected.
 void BM_Sha256(benchmark::State& state) {
+  const bool shani = state.range(1) != 0;
+  const detail::CompressFn compress =
+      shani ? detail::shani_compress() : &detail::compress_portable;
+  if (shani && (compress == nullptr || !detail::cpu_supports_shani())) {
+    state.SkipWithError("no SHA extensions in this build or CPU");
+    return;
+  }
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sha256(payload));
+    Sha256 h(compress);
+    h.update(payload);
+    benchmark::DoNotOptimize(h.finish());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
+  state.SetLabel(detail::compress_name(compress));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->ArgsProduct({{64, 1024, 65536, 279880}, {0, 1}});
 
 void BM_HmacSign(benchmark::State& state) {
   KeyRegistry registry(1);

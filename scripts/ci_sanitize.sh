@@ -4,7 +4,7 @@
 #
 #   address    full ctest suite under ASan (heap/stack/UAF bugs anywhere),
 #              then the `kernels`-labelled suites again under
-#              FIFL_KERNEL_ISA=scalar
+#              FIFL_KERNEL_ISA=scalar (scalar kernels, portable SHA-256)
 #   undefined  the same two runs under UBSan (signed overflow, misaligned
 #              loads, invalid enum casts in the codec paths)
 #   thread     ctest -L "net|chain|obs|core" under TSan (the net stack is
@@ -73,6 +73,8 @@ run_lane() {
       # executes the scalar mirrors' hot loops in the math-heavy suites, so
       # re-run them with FIFL_KERNEL_ISA=scalar to keep both backends under
       # the sanitizer (test_kernels itself compares the two ISAs directly).
+      # The same override selects the portable SHA-256 compression, which
+      # test_sha256 (also labelled `kernels`) then runs end to end.
       # The suites carry the `kernels` ctest label (tests/CMakeLists.txt);
       # --no-tests=error fails the lane if the selection ever comes up empty.
       echo "== kernel suites under FIFL_KERNEL_ISA=scalar ($sanitizer) =="

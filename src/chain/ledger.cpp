@@ -1,7 +1,8 @@
 #include "chain/ledger.hpp"
 
+#include <bit>
+#include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/scoped_timer.hpp"
@@ -34,15 +35,60 @@ const char* record_kind_name(RecordKind kind) {
   return "?";
 }
 
+void append_decimal(std::string& out, std::uint64_t v) {
+  char digits[20];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+}
+
+namespace {
+/// Appends `v` as glibc's printf("%a") spells it: "0x1.<hex>p<exp>" for a
+/// normal value, "0x0.<hex>p-1022" for a subnormal, "0x0p+0" for zero,
+/// trailing zero hex digits dropped, "inf" and "nan", each with a leading
+/// '-' when the sign bit is set. Written out here because std::to_chars'
+/// hex form of a subnormal differs between libstdc++ versions (GCC 12's
+/// writes 0x0.<hex>p-1022 like %a, GCC 15's normalises it), and the
+/// payload must not depend on the library a binary loads.
+void append_hex_double(std::string& out, double v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
+  std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+  if ((bits >> 63) != 0) out += '-';
+  if (biased == 0x7ff) {
+    out += fraction == 0 ? "inf" : "nan";
+    return;
+  }
+  const int exponent = biased != 0 ? biased - 1023 : fraction != 0 ? -1022 : 0;
+  out += biased != 0 ? "0x1" : "0x0";
+  if (fraction != 0) out += '.';
+  // The 52 fraction bits as 13 hex digits, highest first, until the rest
+  // are zero.
+  for (int shift = 48; fraction != 0; shift -= 4) {
+    out += kHex[(fraction >> shift) & 0xf];
+    fraction &= (std::uint64_t{1} << shift) - 1;
+  }
+  out += exponent < 0 ? "p-" : "p+";
+  append_decimal(out, static_cast<std::uint64_t>(exponent < 0 ? -exponent
+                                                              : exponent));
+}
+}  // namespace
+
 std::string AuditRecord::canonical_payload() const {
-  std::ostringstream os;
-  // Hex-exact double encoding so the payload is bit-stable across
+  // kind|round|subject|executor|value in one allocation, the value
+  // hex-exact as "%a" spells it, so the payload is bit-stable across
   // platforms and re-serialisation.
-  char value_hex[32];
-  std::snprintf(value_hex, sizeof value_hex, "%a", value);
-  os << record_kind_name(kind) << '|' << round << '|' << subject << '|'
-     << executor << '|' << value_hex;
-  return os.str();
+  std::string out;
+  out.reserve(96);
+  out += record_kind_name(kind);
+  out += '|';
+  append_decimal(out, round);
+  out += '|';
+  append_decimal(out, subject);
+  out += '|';
+  append_decimal(out, executor);
+  out += '|';
+  append_hex_double(out, value);
+  return out;
 }
 
 Digest AuditRecord::digest() const {
@@ -53,16 +99,25 @@ Digest AuditRecord::digest() const {
   return h.finish();
 }
 
-Digest Block::compute_hash() const {
+Digest hash_block(std::uint64_t index, const Digest& previous_hash,
+                  const Digest& merkle_root) {
+  // "<index>|" (at most 21 bytes), then the two digests' raw bytes.
+  char prefix[24];
+  char* p = std::to_chars(prefix, prefix + 20, index).ptr;
+  *p++ = '|';
   Sha256 h;
-  std::ostringstream os;
-  os << index << '|';
-  h.update(os.str());
+  h.update(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(prefix),
+      static_cast<std::size_t>(p - prefix)));
   h.update(std::span<const std::uint8_t>(previous_hash.data(),
                                          previous_hash.size()));
   h.update(std::span<const std::uint8_t>(merkle_root.data(),
                                          merkle_root.size()));
   return h.finish();
+}
+
+Digest Block::compute_hash() const {
+  return hash_block(index, previous_hash, merkle_root);
 }
 
 Ledger::Ledger(const KeyRegistry* registry) : registry_(registry) {
@@ -97,8 +152,9 @@ std::uint64_t Ledger::seal_block() {
   block.records = std::move(pending_);
   pending_.clear();
 
-  // One pool task per record digest (a Merkle leaf), each leaf written by
-  // its own task only.
+  // The record digests (the Merkle leaves) on the pool: parallel_for splits
+  // them into at most one contiguous chunk per pool thread, and each leaf is
+  // written by the task whose chunk holds it.
   std::vector<Digest> leaves(block.records.size());
   util::parallel_for(
       0, leaves.size(),

@@ -41,6 +41,14 @@ struct AuditRecord {
   Digest digest() const;
 };
 
+/// Appends the decimal digits of `v` (std::to_chars, no locale).
+void append_decimal(std::string& out, std::uint64_t v);
+
+/// A block's hash: SHA-256 of "<index>|", then the previous block's hash
+/// and the Merkle root, raw. Block and BlockHeader both hash through this.
+Digest hash_block(std::uint64_t index, const Digest& previous_hash,
+                  const Digest& merkle_root);
+
 struct Block {
   std::uint64_t index = 0;
   Digest previous_hash{};

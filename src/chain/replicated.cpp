@@ -1,7 +1,6 @@
 #include "chain/replicated.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -62,22 +61,21 @@ std::optional<std::string> certificate_fault(const SealedBlockHeader& sealed,
 }  // namespace
 
 std::string BlockHeader::canonical_payload() const {
-  std::ostringstream os;
-  os << "blockheader|" << index << '|' << to_hex(previous_hash) << '|'
-     << to_hex(merkle_root) << '|' << to_hex(block_hash);
-  return os.str();
+  // "blockheader|<index>|<prev>|<root>|<hash>", digests in lowercase hex,
+  // in one allocation.
+  std::string out;
+  out.reserve(232);
+  out += "blockheader|";
+  append_decimal(out, index);
+  for (const Digest* d : {&previous_hash, &merkle_root, &block_hash}) {
+    out += '|';
+    append_hex(out, *d);
+  }
+  return out;
 }
 
 Digest BlockHeader::compute_hash() const {
-  Sha256 h;
-  std::ostringstream os;
-  os << index << '|';
-  h.update(os.str());
-  h.update(std::span<const std::uint8_t>(previous_hash.data(),
-                                         previous_hash.size()));
-  h.update(std::span<const std::uint8_t>(merkle_root.data(),
-                                         merkle_root.size()));
-  return h.finish();
+  return hash_block(index, previous_hash, merkle_root);
 }
 
 BlockHeader header_of(const Block& block) {

@@ -52,8 +52,8 @@ struct BlockHeader {
 
   /// Canonical byte string the executor and voters sign.
   std::string canonical_payload() const;
-  /// Recomputes the hash from (index, previous_hash, merkle_root) —
-  /// byte-identical to Block::compute_hash, so a header's block_hash is
+  /// Recomputes the hash from (index, previous_hash, merkle_root) through
+  /// hash_block, as Block::compute_hash does, so a header's block_hash is
   /// checkable without the records.
   Digest compute_hash() const;
 

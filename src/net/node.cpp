@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -257,11 +256,10 @@ std::vector<fl::Upload> canonicalize_uploads(
 }
 
 std::string parameter_hash(std::span<const float> params) {
-  std::vector<std::uint8_t> bytes(params.size() * sizeof(float));
-  if (!bytes.empty()) {
-    std::memcpy(bytes.data(), params.data(), bytes.size());
-  }
-  return chain::to_hex(chain::sha256(bytes));
+  // Hashes the floats' bytes where they lie, without a copy.
+  return chain::to_hex(chain::sha256(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(params.data()),
+      params.size_bytes())));
 }
 
 // ---------------------------------------------------------------------------

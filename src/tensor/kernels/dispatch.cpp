@@ -5,8 +5,6 @@
 // both backends are bit-identical by construction.
 #include "tensor/kernels/kernels.hpp"
 
-#include <string>
-
 #include "util/config.hpp"
 #include "util/logging.hpp"
 
@@ -16,19 +14,18 @@ namespace {
 
 Isa resolve_isa() {
   const bool avx2_ok = avx2_table() != nullptr && cpu_supports_avx2();
-  const std::string want = util::env_string("FIFL_KERNEL_ISA", "");
-  if (want == "scalar") return Isa::kScalar;
-  if (want == "avx2") {
-    if (avx2_ok) return Isa::kAvx2;
-    util::log_warn() << "FIFL_KERNEL_ISA=avx2 requested but "
-                     << (avx2_table() == nullptr ? "the build lacks AVX2"
-                                                 : "the CPU lacks AVX2")
-                     << "; falling back to scalar kernels";
-    return Isa::kScalar;
-  }
-  if (!want.empty()) {
-    util::log_warn() << "FIFL_KERNEL_ISA='" << want
-                     << "' not recognised (want scalar|avx2); auto-detecting";
+  switch (util::requested_isa()) {
+    case util::IsaRequest::kScalar:
+      return Isa::kScalar;
+    case util::IsaRequest::kAvx2:
+      if (avx2_ok) return Isa::kAvx2;
+      util::log_warn() << "FIFL_KERNEL_ISA=avx2 requested but "
+                       << (avx2_table() == nullptr ? "the build lacks AVX2"
+                                                   : "the CPU lacks AVX2")
+                       << "; falling back to scalar kernels";
+      return Isa::kScalar;
+    case util::IsaRequest::kAuto:
+      break;
   }
   return avx2_ok ? Isa::kAvx2 : Isa::kScalar;
 }

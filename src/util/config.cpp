@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/logging.hpp"
+
 namespace fifl::util {
 
 namespace {
@@ -103,6 +105,23 @@ std::string env_string(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
   return v;
+}
+
+namespace {
+IsaRequest parse_isa_request() {
+  const std::string want = env_string("FIFL_KERNEL_ISA", "");
+  if (want.empty()) return IsaRequest::kAuto;
+  if (want == "scalar") return IsaRequest::kScalar;
+  if (want == "avx2") return IsaRequest::kAvx2;
+  log_warn() << "FIFL_KERNEL_ISA='" << want
+             << "' not recognised (want scalar|avx2); auto-detecting";
+  return IsaRequest::kAuto;
+}
+}  // namespace
+
+IsaRequest requested_isa() {
+  static const IsaRequest request = parse_isa_request();
+  return request;
 }
 
 }  // namespace fifl::util

@@ -43,4 +43,13 @@ double env_double(const char* name, double fallback);
 /// Raw string environment override; fallback when unset or empty.
 std::string env_string(const char* name, const std::string& fallback);
 
+/// What the FIFL_KERNEL_ISA override asks of the two runtime ISA
+/// dispatchers, the tensor kernels (tensor/kernels/dispatch.cpp) and the
+/// SHA-256 compression (chain/sha256.cpp). Each dispatcher's backends give
+/// the same bytes; the override serves the cross-ISA tests, the sanitizer
+/// lanes' forced-scalar leg and benchmarking. Read once per process: unset
+/// reads kAuto, and an unrecognised value is logged once and reads kAuto.
+enum class IsaRequest { kAuto, kScalar, kAvx2 };
+IsaRequest requested_isa();
+
 }  // namespace fifl::util

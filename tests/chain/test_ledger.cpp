@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace fifl::chain {
 namespace {
 
@@ -166,6 +176,69 @@ TEST_F(LedgerTest, CanonicalPayloadDistinguishesFields) {
   b = a;
   b.value = 4.0000001;
   EXPECT_NE(a.canonical_payload(), b.canonical_payload());
+}
+
+// The signed and hashed payload bytes, recorded with the ostringstream and
+// snprintf("%a") code that built them before std::to_chars did: every
+// kind, the widest round and node ids, and values whose %a spelling is
+// irregular (signed zero, subnormals, inf, nan).
+TEST(AuditRecordPayload, MatchesRecordedBytesForEveryKindAndValue) {
+  const std::string ids = "|18446744073709551615|4294967295|4294967295|";
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, std::string>> values = {
+      {0.0, "0x0p+0"},
+      {-0.0, "-0x0p+0"},
+      {std::numeric_limits<double>::denorm_min(), "0x0.0000000000001p-1022"},
+      {-2.5e-310, "-0x0.02e055c9a3f6cp-1022"},
+      {inf, "inf"},
+      {-inf, "-inf"},
+      {nan, "nan"},
+      {-nan, "-nan"},
+      {DBL_MAX, "0x1.fffffffffffffp+1023"},
+      {DBL_MIN, "0x1p-1022"},
+      {-1.0, "-0x1p+0"},
+      {0.1, "0x1.999999999999ap-4"},
+  };
+  const std::vector<std::pair<RecordKind, std::string>> kinds = {
+      {RecordKind::kDetection, "detection"},
+      {RecordKind::kReputation, "reputation"},
+      {RecordKind::kContribution, "contribution"},
+      {RecordKind::kReward, "reward"},
+      {RecordKind::kServerSelection, "server_selection"},
+  };
+  for (const auto& [kind, name] : kinds) {
+    for (const auto& [value, spelled] : values) {
+      AuditRecord rec;
+      rec.kind = kind;
+      rec.round = std::numeric_limits<std::uint64_t>::max();
+      rec.subject = std::numeric_limits<NodeId>::max();
+      rec.executor = std::numeric_limits<NodeId>::max();
+      rec.value = value;
+      EXPECT_EQ(rec.canonical_payload(), name + ids + spelled);
+    }
+  }
+  EXPECT_EQ(AuditRecord{}.canonical_payload(), "detection|0|0|0|0x0p+0");
+}
+
+// The value field is spelled as glibc's "%a" spells it for any double:
+// random bit patterns, a quarter each with the exponent field forced to
+// 0 (zero and subnormals) or all ones (inf and nan payloads).
+TEST(AuditRecordPayload, ValueMatchesPrintfHexForRandomBitPatterns) {
+  util::Rng rng(0xa11ce);
+  for (int i = 0; i < 200000; ++i) {
+    std::uint64_t bits = rng.next();
+    if (i % 4 == 1) bits &= 0x800fffffffffffffull;
+    if (i % 4 == 2) bits |= 0x7ff0000000000000ull;
+    if (i % 4 == 3) bits &= 0xfff0000000000000ull | (rng.next() & 0xff);
+    AuditRecord rec;
+    rec.value = std::bit_cast<double>(bits);
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%a", rec.value);
+    const std::string payload = rec.canonical_payload();
+    ASSERT_EQ(payload.substr(payload.rfind('|') + 1), expected)
+        << "bits " << std::hex << bits;
+  }
 }
 
 TEST(Ledger, NullRegistryThrows) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -735,6 +736,32 @@ TEST(ReplicatedLedger, AdoptCommittedRejectsForkedLocalBlock) {
   EXPECT_THROW(forked.repl.adopt_committed(*lead.repl.sealed(0)),
                std::runtime_error);
   EXPECT_EQ(forked.repl.committed_count(), 0u);
+}
+
+// The header payload every executor signature and vote covers, and the
+// block hash, recorded with the ostringstream code that built them before
+// std::to_chars did.
+TEST(BlockHeaderPayload, MatchesRecordedBytes) {
+  BlockHeader h;
+  h.index = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t i = 0; i < 32; ++i) {
+    h.previous_hash[i] = static_cast<std::uint8_t>(i);
+    h.merkle_root[i] = static_cast<std::uint8_t>(0xff - i);
+    h.block_hash[i] = static_cast<std::uint8_t>(0xa5 ^ (i * 7));
+  }
+  EXPECT_EQ(h.canonical_payload(),
+            "blockheader|18446744073709551615|"
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f|"
+            "fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0efeeedecebeae9e8e7e6e5e4e3e2e1e0|"
+            "a5a2abb0b9868f949d9ae3e8f1fec7ccd5d2db2029363f040d0a1318616e777c");
+  EXPECT_EQ(to_hex(h.compute_hash()),
+            "abd07ce394490988ddcd7d769d699d944c3b2772708ab16b458ca10dc874312c");
+  const BlockHeader genesis;
+  EXPECT_EQ(genesis.canonical_payload(),
+            "blockheader|0|" + std::string(64, '0') + '|' +
+                std::string(64, '0') + '|' + std::string(64, '0'));
+  EXPECT_EQ(to_hex(genesis.compute_hash()),
+            "cb925f6a2d8ed394764c1e0a657d17cd911bc43c586a57683e62040ebd4b2101");
 }
 
 }  // namespace
