@@ -1,7 +1,9 @@
 // Audit-ledger substrate throughput: SHA-256 hashing, HMAC signing, block
 // sealing (one FIFL round's records), chain verification, and Merkle
-// proofs — establishes the audit layer is nowhere near the bottleneck
-// relative to model training.
+// proofs. The audit layer is a measurable share of a networked round: in
+// a traced cluster_tcp run (M=2, N=8, 4-vCPU Xeon) the lead's per-round
+// SHA-256 of θ plus its ledger work took 2.3 of 12.1 ms (19%) on the
+// portable compression and 0.5 of 9.5 ms (5%) on the SHA extensions.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
