@@ -200,7 +200,7 @@ HmacSha256::HmacSha256(std::span<const std::uint8_t> key,
     key_hash.update(key);
     const Digest kd = key_hash.finish();
     std::memcpy(key_block.data(), kd.data(), kd.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key's data() may be null
     std::memcpy(key_block.data(), key.data(), key.size());
   }
   std::array<std::uint8_t, 64> ipad, opad;
