@@ -5,6 +5,7 @@
 // the latency numbers.
 #include <benchmark/benchmark.h>
 
+#include "net/crc32_backends.hpp"
 #include "net/frame.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
@@ -57,15 +58,28 @@ void BM_FrameDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecode)->Arg(64)->Arg(4096)->Arg(262144);
 
+// One CRC-32 of range(0) bytes — up to θ's width in cluster_tcp
+// (279,880 B, a broadcast or upload frame) and 1 MiB — through the backend
+// range(1) names: 0 = slicing-by-16 table, 1 = carry-less multiply. The
+// label names the backend; the carry-less leg reports an error where the
+// build or the CPU lacks it. `crc32()` itself runs the selected backend.
 void BM_Crc32(benchmark::State& state) {
+  const bool clmul = state.range(1) != 0;
+  const detail::Crc32Fn fn =
+      clmul ? detail::clmul_crc32() : &detail::crc32_table;
+  if (clmul && (fn == nullptr || !detail::cpu_supports_clmul())) {
+    state.SkipWithError("no PCLMULQDQ in this build or CPU");
+    return;
+  }
   const auto payload = random_payload(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crc32(payload));
+    benchmark::DoNotOptimize(fn(payload, 0));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
+  state.SetLabel(detail::crc32_name(fn));
 }
-BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1048576);
+BENCHMARK(BM_Crc32)->ArgsProduct({{4096, 279880, 1048576}, {0, 1}});
 
 /// One send + one matching recv of a LeNet-sized gradient upload.
 template <typename TransportT>

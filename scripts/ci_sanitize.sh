@@ -4,7 +4,8 @@
 #
 #   address    full ctest suite under ASan (heap/stack/UAF bugs anywhere),
 #              then the `kernels`-labelled suites again under
-#              FIFL_KERNEL_ISA=scalar (scalar kernels, portable SHA-256)
+#              FIFL_KERNEL_ISA=scalar (scalar kernels, portable SHA-256,
+#              table CRC-32)
 #   undefined  the same two runs under UBSan (signed overflow, misaligned
 #              loads, invalid enum casts in the codec paths)
 #   thread     ctest -L "net|chain|obs|core" under TSan (the net stack is
@@ -17,7 +18,8 @@
 #              sinks that every net thread writes into, i.e. the mutexes
 #              the R6-R9 lint rules and the Clang thread-safety
 #              annotations now document; the core label covers every
-#              suite that reaches the thread pool: FiflEngine's
+#              suite that reaches the thread pool: the pool's own
+#              suite with its InlineScope, FiflEngine's
 #              assessment path, whose detection, contribution,
 #              aggregation and ledger digests run as pool tasks, the
 #              trainer that drives it, the simulator's per-worker
@@ -73,8 +75,9 @@ run_lane() {
       # executes the scalar mirrors' hot loops in the math-heavy suites, so
       # re-run them with FIFL_KERNEL_ISA=scalar to keep both backends under
       # the sanitizer (test_kernels itself compares the two ISAs directly).
-      # The same override selects the portable SHA-256 compression, which
-      # test_sha256 (also labelled `kernels`) then runs end to end.
+      # The same override selects the portable SHA-256 compression and the
+      # table CRC-32, which test_sha256 and test_net_frame (also labelled
+      # `kernels`) then run end to end.
       # The suites carry the `kernels` ctest label (tests/CMakeLists.txt);
       # --no-tests=error fails the lane if the selection ever comes up empty.
       echo "== kernel suites under FIFL_KERNEL_ISA=scalar ($sanitizer) =="

@@ -83,8 +83,9 @@ class FiflEngine {
   /// Runs the full pipeline on one round of uploads (uploads.size() must
   /// equal workers()). Detection, contribution, aggregation and the ledger's
   /// record digests run as tasks on util::ThreadPool::global(), or serially
-  /// when called from a pool task; the report and ledger bytes are the same
-  /// either way (DESIGN.md "Assessment path").
+  /// when called from a pool task or inside a util::ThreadPool::InlineScope;
+  /// the report and ledger bytes are the same either way (DESIGN.md
+  /// "Assessment path").
   RoundReport process_round(std::span<const fl::Upload> uploads);
 
   /// Rejoin-by-replay: re-applies one committed block's records to rebuild

@@ -1,7 +1,10 @@
 // Round-based federated learning simulator (Sec. 3.1 training loop).
 //
 // Each round: (1) all workers train locally from the broadcast global
-// parameters — in parallel, one pool task per worker; (2) uploads pass
+// parameters — in parallel, one pool task per worker, whose own
+// parallel_for regions then run serially inside it (net::Cluster's
+// co-located worker nodes run the same way, each on its own thread under a
+// util::ThreadPool::InlineScope); (2) uploads pass
 // through the lossy channel; (3) the caller decides an acceptance mask
 // (plain FedAvg accepts everything that arrived; FIFL's detection module
 // rejects attackers) and the simulator aggregates per Eq. 2 and steps the
@@ -69,7 +72,8 @@ FederationInit make_federation_init(const SimulatorConfig& config,
 /// aggregation FiflEngine, the Simulator and the FedAvg and FIFL-detection
 /// baselines share. G̃ is zero when nothing is accepted or the accepted
 /// samples sum to 0. Element blocks of G̃ run as tasks on
-/// util::ThreadPool::global() (serially when called from a pool task), and
+/// util::ThreadPool::global() (serially when called from a pool task or
+/// inside a util::ThreadPool::InlineScope), and
 /// each element adds its terms in ascending upload order, so the bytes do
 /// not depend on the pool. Throws std::invalid_argument if accept and
 /// uploads differ in size or an accepted upload is not `width` long.

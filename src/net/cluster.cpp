@@ -8,6 +8,7 @@
 #include "net/tcp.hpp"
 #include "nn/checkpoint.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fifl::net {
 
@@ -159,6 +160,11 @@ const std::vector<NetRoundResult>& Cluster::run() {
   }
   for (auto& node : worker_nodes_) {
     threads.emplace_back([&failures, &stop_all, slot, raw = node.get()] {
+      // Each worker owns a thread, like the Simulator's one pool task per
+      // worker, so its step runs serially here rather than queueing matmul
+      // chunks on the shared pool behind the other workers'. parallel_for
+      // splits work by output element, so the bytes are the same.
+      const util::ThreadPool::InlineScope inline_regions;
       try {
         raw->run();
       } catch (...) {

@@ -1,6 +1,8 @@
 // Cluster harness: launches M ServerNodes + N WorkerNodes, each on its
 // own thread, over loopback or localhost TCP, and runs the full FIFL
-// round loop end to end.
+// round loop end to end. Worker threads run their local step's
+// parallel_for regions inline (util::ThreadPool::InlineScope); servers'
+// engines use the shared pool.
 //
 // Construction is the same deterministic fl::make_federation_init the
 // in-process Simulator uses, and every server runs a FiflEngine replica

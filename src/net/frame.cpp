@@ -4,6 +4,13 @@
 #include <array>
 #include <string>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
+#include "net/crc32_backends.hpp"
+#include "util/config.hpp"
+
 namespace fifl::net {
 
 namespace {
@@ -47,7 +54,21 @@ std::uint64_t load_u64le(const std::uint8_t* p) {
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
+namespace detail {
+
+namespace {
+Crc32Fn select_crc32() {
+  const Crc32Fn clmul = clmul_crc32();
+  if (clmul != nullptr && cpu_supports_clmul() &&
+      util::requested_isa() != util::IsaRequest::kScalar) {
+    return clmul;
+  }
+  return &crc32_table;
+}
+}  // namespace
+
+std::uint32_t crc32_table(std::span<const std::uint8_t> data,
+                          std::uint32_t seed) {
   const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const std::uint8_t* p = data.data();
@@ -70,6 +91,32 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
     c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+bool cpu_supports_clmul() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  // Leaf 1, ECX: PCLMULQDQ is bit 1, SSE4.1 bit 19.
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ecx & (1u << 1)) != 0 && (ecx & (1u << 19)) != 0;
+#else
+  return false;
+#endif
+}
+
+Crc32Fn active_crc32() {
+  static const Crc32Fn fn = select_crc32();
+  return fn;
+}
+
+const char* crc32_name(Crc32Fn fn) noexcept {
+  return fn != nullptr && fn == clmul_crc32() ? "clmul" : "table";
+}
+
+}  // namespace detail
+
+std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
+  return detail::active_crc32()(data, seed);
 }
 
 std::vector<std::uint8_t> encode_frame(std::uint8_t type, std::uint32_t from,

@@ -56,7 +56,10 @@ class FrameError : public util::SerializeError {
 };
 
 /// CRC32 (IEEE 802.3 polynomial, reflected). `seed` chains partial
-/// computations: crc32(b, crc32(a)) == crc32(a ++ b).
+/// computations: crc32(b, crc32(a)) == crc32(a ++ b). Runs on the backend
+/// selected once per process (carry-less multiply where the build and CPU
+/// have it, else slicing-by-16 tables); every backend returns the same
+/// value.
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
 
 struct Frame {

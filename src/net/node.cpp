@@ -1079,10 +1079,14 @@ void ServerNode::record_round(std::uint64_t r, const core::RoundReport& report,
   NetRoundResult result;
   result.round = r;
   // θ changed at the apply step; the broadcast is long sent, so the same
-  // buffer takes the updated parameters.
+  // buffer takes the updated parameters. The digest is timed as the
+  // `record` phase.
+  const auto record_start = std::chrono::steady_clock::now();
   theta_.resize(global_model_->parameter_count());
   global_model_->flatten_parameters_into(theta_);
   result.model_hash = parameter_hash(theta_);
+  note_phase(tracer_, NetMetrics::global().phase_record_ms, "record", r,
+             record_start);
   result.degraded = report.degraded;
   result.fairness = report.fairness;
   result.reputations = report.reputations;

@@ -33,6 +33,7 @@ NetMetrics& NetMetrics::global() {
     m.phase_collect_ms = &reg.histogram("net.phase.collect_ms");
     m.phase_assess_ms = &reg.histogram("net.phase.assess_ms");
     m.phase_ledger_commit_ms = &reg.histogram("net.phase.ledger_commit_ms");
+    m.phase_record_ms = &reg.histogram("net.phase.record_ms");
     m.send_retries = &reg.counter("net.send_retries");
     m.send_failures = &reg.counter("net.send_failures");
     m.late_uploads = &reg.counter("net.late_uploads");

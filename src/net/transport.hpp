@@ -109,6 +109,9 @@ struct NetMetrics {
   obs::Histogram* phase_assess_ms;
   /// Replicated-ledger commit wait on the lead (propose -> vote quorum).
   obs::Histogram* phase_ledger_commit_ms;
+  /// The executor's per-round θ digest after the assess phase (flatten +
+  /// parameter_hash in ServerNode::record_round).
+  obs::Histogram* phase_record_ms;
   // Fault-tolerance / degradation counters.
   obs::Counter* send_retries;     // TCP sends that needed a backoff retry
   obs::Counter* send_failures;    // sends abandoned after the retry budget

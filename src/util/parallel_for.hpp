@@ -14,8 +14,10 @@
 
 namespace fifl::util {
 
-/// Runs body(i) for i in [begin, end) across the global pool.
-/// `grain` is the minimum chunk size below which we run serially.
+/// Runs body(i) for i in [begin, end) across the global pool, or serially
+/// on the calling thread when that is a pool worker or holds a
+/// ThreadPool::InlineScope. `grain` is the minimum chunk size below which
+/// we run serially.
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body,
                   std::size_t grain = 1024) {

@@ -24,13 +24,19 @@ ThreadPool::~ThreadPool() {
 }
 
 namespace {
-thread_local bool t_in_pool_worker = false;
+thread_local bool t_runs_inline = false;
 }  // namespace
 
-bool ThreadPool::in_worker_thread() noexcept { return t_in_pool_worker; }
+bool ThreadPool::in_worker_thread() noexcept { return t_runs_inline; }
+
+ThreadPool::InlineScope::InlineScope() noexcept : previous_(t_runs_inline) {
+  t_runs_inline = true;
+}
+
+ThreadPool::InlineScope::~InlineScope() { t_runs_inline = previous_; }
 
 void ThreadPool::worker_loop() {
-  t_in_pool_worker = true;
+  t_runs_inline = true;
   for (;;) {
     std::function<void()> task;
     {

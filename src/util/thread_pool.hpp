@@ -1,5 +1,7 @@
 // Fixed-size work-stealing-free thread pool used by parallel_for and the
-// federated-learning simulator (one task per worker per round).
+// federated-learning simulator (one task per worker per round). Pool
+// workers, and any thread inside an InlineScope, run nested parallel_for
+// regions serially.
 //
 // Design notes (cf. C++ Core Guidelines CP.*): the pool owns its threads
 // (RAII — the destructor joins), tasks are type-erased move-only callables,
@@ -56,11 +58,29 @@ class ThreadPool {
   /// Process-wide shared pool (lazily constructed, sized to the machine).
   static ThreadPool& global();
 
-  /// True when the calling thread is one of *any* pool's workers. Nested
-  /// data-parallel regions (e.g. a matmul inside a per-worker training
-  /// task) use this to degrade to serial execution instead of submitting
-  /// chunks that no free thread could ever run (deadlock avoidance).
+  /// True when the calling thread runs data-parallel regions inline: it is
+  /// one of *any* pool's workers, or it holds an InlineScope. Nested
+  /// regions (e.g. a matmul inside a per-worker training task) use this
+  /// to degrade to serial execution instead of submitting chunks that no
+  /// free thread could ever run (deadlock avoidance).
   static bool in_worker_thread() noexcept;
+
+  /// Marks the calling thread, for the scope's lifetime, as running
+  /// parallel_for regions inline, as the pool's own workers do. A thread
+  /// that already owns one unit of a parallel fan-out (a co-located
+  /// worker node's training thread) opens one so its regions stop
+  /// queueing behind everyone else's on the shared pool. Scopes nest;
+  /// each restores the state it found.
+  class InlineScope {
+   public:
+    InlineScope() noexcept;
+    ~InlineScope();
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+   private:
+    bool previous_;
+  };
 
  private:
   void worker_loop();

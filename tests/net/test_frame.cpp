@@ -10,7 +10,9 @@
 #include <functional>
 #include <new>
 
+#include "net/crc32_backends.hpp"
 #include "net/frame.hpp"
+#include "util/config.hpp"
 #include "util/rng.hpp"
 
 /// The largest single operator-new request since the last reset: this
@@ -109,6 +111,107 @@ TEST(Frame, Crc32MatchesBytewiseReference) {
   const auto large = random_payload(rng, 280 * 1024 + 7);
   EXPECT_EQ(crc32(large), crc32_bytewise(large));
   EXPECT_EQ(crc32(large, 0x12345678u), crc32_bytewise(large, 0x12345678u));
+}
+
+// ---- CRC-32 backends ------------------------------------------------------
+// Each backend is called directly through the private header, so neither
+// can hide behind the one the process selected.
+
+enum class Crc32Kind { kTable, kClmul };
+
+class Crc32Backend : public ::testing::TestWithParam<Crc32Kind> {
+ protected:
+  void SetUp() override {
+    if (GetParam() != Crc32Kind::kClmul) return;
+    if (detail::clmul_crc32() == nullptr) {
+      GTEST_SKIP() << "this build has no carry-less-multiply CRC";
+    }
+    if (!detail::cpu_supports_clmul()) {
+      GTEST_SKIP() << "the CPU lacks PCLMULQDQ or SSE4.1";
+    }
+  }
+
+  std::uint32_t crc(std::span<const std::uint8_t> data,
+                    std::uint32_t seed) const {
+    return GetParam() == Crc32Kind::kClmul ? detail::clmul_crc32()(data, seed)
+                                           : detail::crc32_table(data, seed);
+  }
+
+  /// 0, all ones, and one drawn from a fixed stream.
+  static std::array<std::uint32_t, 3> seeds() {
+    util::Rng rng(2027);
+    return {0u, 0xFFFFFFFFu, static_cast<std::uint32_t>(rng.next() >> 32)};
+  }
+};
+
+TEST_P(Crc32Backend, EveryLengthOffsetAndSplitTo300) {
+  // Every length 0-300 at every start offset 0-15 crosses the folding
+  // backend's 64-byte threshold, each 16-byte block count and each 0-15
+  // byte tail at each alignment; every split point chains the two halves
+  // through the seed.
+  util::Rng rng(43);
+  const auto bytes = random_payload(rng, 16 + 300);
+  const std::span<const std::uint8_t> all(bytes);
+  for (const std::uint32_t seed : seeds()) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const auto data = all.subspan(offset, len);
+        const std::uint32_t expected = crc32_bytewise(data, seed);
+        ASSERT_EQ(crc(data, seed), expected)
+            << "seed " << seed << " offset " << offset << " length " << len;
+        for (std::size_t split = 0; split <= len; ++split) {
+          ASSERT_EQ(crc(data.subspan(split), crc(data.first(split), seed)),
+                    expected)
+              << "seed " << seed << " offset " << offset << " length " << len
+              << " split " << split;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(Crc32Backend, DataPlaneSizedBuffersMatchBytewise) {
+  // θ's 279,880 B (a cluster_tcp broadcast or upload) and 1 MiB, whole and
+  // chained across a split inside a 64-byte step.
+  util::Rng rng(44);
+  for (const std::size_t size : {std::size_t{279880}, std::size_t{1} << 20}) {
+    const auto buffer = random_payload(rng, size);
+    const std::span<const std::uint8_t> all(buffer);
+    for (const std::uint32_t seed : seeds()) {
+      const std::uint32_t expected = crc32_bytewise(all, seed);
+      EXPECT_EQ(crc(all, seed), expected) << "size " << size;
+      const std::size_t split = size / 2 + 37;
+      EXPECT_EQ(crc(all.subspan(split), crc(all.first(split), seed)), expected)
+          << "size " << size;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Crc32, Crc32Backend,
+                         ::testing::Values(Crc32Kind::kTable,
+                                           Crc32Kind::kClmul),
+                         [](const ::testing::TestParamInfo<Crc32Kind>& p) {
+                           return p.param == Crc32Kind::kClmul
+                                      ? std::string("Clmul")
+                                      : std::string("Table");
+                         });
+
+TEST(Crc32Selection, FollowsCpuidAndTheScalarOverride) {
+  const detail::Crc32Fn active = detail::active_crc32();
+  EXPECT_EQ(active, detail::active_crc32());  // resolved once, stable
+  const bool clmul_ok =
+      detail::clmul_crc32() != nullptr && detail::cpu_supports_clmul();
+  if (clmul_ok && util::requested_isa() != util::IsaRequest::kScalar) {
+    EXPECT_EQ(active, detail::clmul_crc32());
+    EXPECT_STREQ(detail::crc32_name(active), "clmul");
+  } else {
+    EXPECT_EQ(active, &detail::crc32_table);
+    EXPECT_STREQ(detail::crc32_name(active), "table");
+  }
+  // net::crc32 is the selected backend.
+  util::Rng rng(45);
+  const auto bytes = random_payload(rng, 4099);
+  EXPECT_EQ(crc32(bytes, 7u), active(bytes, 7u));
 }
 
 TEST(Frame, RoundTripWholeBuffer) {

@@ -303,6 +303,7 @@ TEST(Tracing, TracedClusterRunIsBitwiseIdenticalAndEmitsFlows) {
     EXPECT_TRUE(phases.count({"broadcast", r})) << "round " << r;
     EXPECT_TRUE(phases.count({"collect", r})) << "round " << r;
     EXPECT_TRUE(phases.count({"assess", r})) << "round " << r;
+    EXPECT_TRUE(phases.count({"record", r})) << "round " << r;
   }
 
   // Cross-node flow: a recv span whose parent is a send span recorded on

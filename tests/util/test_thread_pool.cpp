@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/parallel_for.hpp"
@@ -99,6 +101,79 @@ TEST(ParallelFor, ExceptionInBodyPropagates) {
                    },
                    1),
       std::runtime_error);
+}
+
+/// The id of the thread that ran each index of a 10,000-index region
+/// split into grain-1 chunks (as many as the pool has threads).
+std::vector<std::thread::id> region_thread_ids() {
+  std::vector<std::thread::id> ids(10000);
+  parallel_for(0, ids.size(),
+               [&](std::size_t i) { ids[i] = std::this_thread::get_id(); }, 1);
+  return ids;
+}
+
+TEST(InlineScope, RegionRunsEveryIndexOnTheCallingThread) {
+  const ThreadPool::InlineScope scope;
+  EXPECT_TRUE(ThreadPool::in_worker_thread());
+  const std::vector<std::thread::id> ids = region_thread_ids();
+  const std::thread::id self = std::this_thread::get_id();
+  EXPECT_TRUE(std::all_of(ids.begin(), ids.end(),
+                          [&](std::thread::id id) { return id == self; }));
+}
+
+TEST(InlineScope, ScopesNestAndEachRestoresThePreviousState) {
+  EXPECT_FALSE(ThreadPool::in_worker_thread());
+  {
+    const ThreadPool::InlineScope outer;
+    EXPECT_TRUE(ThreadPool::in_worker_thread());
+    {
+      const ThreadPool::InlineScope inner;
+      EXPECT_TRUE(ThreadPool::in_worker_thread());
+    }
+    EXPECT_TRUE(ThreadPool::in_worker_thread());
+  }
+  EXPECT_FALSE(ThreadPool::in_worker_thread());
+  // A pool worker already runs regions inline; its own scope leaves it so.
+  auto f = ThreadPool::global().submit([] {
+    { const ThreadPool::InlineScope scope; }
+    return ThreadPool::in_worker_thread();
+  });
+  EXPECT_TRUE(f.get());
+  // Unwinding through a scope restores the state too.
+  EXPECT_THROW(
+      {
+        const ThreadPool::InlineScope scope;
+        throw std::runtime_error("unwind");
+      },
+      std::runtime_error);
+  EXPECT_FALSE(ThreadPool::in_worker_thread());
+}
+
+TEST(InlineScope, OutsideAScopeRegionsReachThePool) {
+  if (ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "a one-thread pool runs every region serially";
+  }
+  { const ThreadPool::InlineScope scope; }
+  // The region fans out as pool tasks; the caller only waits for them.
+  const std::vector<std::thread::id> ids = region_thread_ids();
+  const std::thread::id self = std::this_thread::get_id();
+  EXPECT_TRUE(std::none_of(ids.begin(), ids.end(),
+                           [&](std::thread::id id) { return id == self; }));
+}
+
+TEST(InlineScope, ExceptionInBodyPropagates) {
+  const ThreadPool::InlineScope scope;
+  std::size_t ran = 0;
+  EXPECT_THROW(parallel_for(0, 10000,
+                            [&](std::size_t i) {
+                              ++ran;
+                              if (i == 4321) throw std::runtime_error("bad");
+                            },
+                            1),
+               std::runtime_error);
+  // Serial: the indices before the throwing one ran, none after it.
+  EXPECT_EQ(ran, 4322u);
+  EXPECT_TRUE(ThreadPool::in_worker_thread());
 }
 
 }  // namespace
